@@ -312,11 +312,6 @@ Json spec_to_json_doc(const ScenarioSpec& spec) {
     doc.set("budget", std::move(budget));
   }
 
-  // Emitted only when actually sharded: shards 0 and 1 both mean "the
-  // serial core" and must canonicalize to the same document (and the same
-  // campaign cache key) as every pre-existing spec.
-  if (spec.shards > 1) doc.set("shards", Json::u64(spec.shards));
-
   Json faults = Json::object();
   const runner::FaultScenario& f = spec.faults;
   faults.set("flap_down_ps", time_json(f.flap_down));
@@ -481,7 +476,12 @@ std::optional<ScenarioSpec> spec_from_json_doc(const Json& doc,
         t->get_bool("flow_rate_series", tel.flow_rate_series);
   }
 
-  spec.shards = static_cast<size_t>(doc.get_u64("shards", 0));
+  // Stored specs may still carry "shards": 0 and 1 meant the serial engine,
+  // which is the only one; anything larger would silently change meaning.
+  if (doc.get_u64("shards", 0) > 1) {
+    sink.set("shards > 1 is not supported: the sharded engine was removed; "
+             "drop the field or set it to 1");
+  }
   if (const Json* b = doc.find("budget")) {
     sim::RunBudget budget;
     budget.max_events = b->get_u64("max_events", budget.max_events);

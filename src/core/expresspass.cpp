@@ -38,7 +38,7 @@ ExpressPassConnection::ExpressPassConnection(
       cfg_(cfg),
       feedback_(make_params(cfg, spec.dst->nic().config().rate_bps)),
       credit_sched_(
-          rsim_, sched_config(cfg), [this] { return feedback_.rate(); },
+          sim_, sched_config(cfg), [this] { return feedback_.rate(); },
           [this] { return emit_credit(); }) {}
 
 ExpressPassConnection::~ExpressPassConnection() { stop(); }
@@ -64,7 +64,7 @@ void ExpressPassConnection::stop() {
   spec_.src->unregister_flow(spec_.id);
   spec_.dst->unregister_flow(spec_.id);
   credit_sched_.stop();
-  rsim_.cancel(feedback_timer_);
+  sim_.cancel(feedback_timer_);
   sim_.cancel(request_timer_);
   while (!release_timers_.empty()) sim_.cancel(release_timers_.pop_front());
 }
@@ -109,8 +109,7 @@ void ExpressPassConnection::on_watchdog() {
   ++dead_retries_;
   if (dead_retries_ > cfg_.max_dead_retries) {
     abort_flow("sender: no credits after " +
-                   std::to_string(cfg_.max_dead_retries) + " request retries",
-               /*sender_half=*/true);
+                   std::to_string(cfg_.max_dead_retries) + " request retries");
     return;
   }
   send_request();
@@ -120,28 +119,11 @@ void ExpressPassConnection::on_watchdog() {
   arm_watchdog();
 }
 
-void ExpressPassConnection::abort_flow(const std::string& why,
-                                       bool sender_half) {
-  if (&sim_ == &rsim_) {
-    // Serial: one thread owns both halves; tear everything down at once.
-    sim_.cancel(request_timer_);
-    credit_sched_.stop();
-    rsim_.cancel(feedback_timer_);
-    done_ = true;
-    fail_flow(why);
-    return;
-  }
-  // Sharded: each half may only touch its own shard's event queue and its
-  // own state. fail_flow()'s settlement is the cross-thread signal — the
-  // other half sees failed() on its next timer/packet and goes quiet
-  // (watchdog and credit/feedback pumps all check it before re-arming).
-  if (sender_half) {
-    sim_.cancel(request_timer_);
-  } else {
-    credit_sched_.stop();
-    rsim_.cancel(feedback_timer_);
-    done_ = true;
-  }
+void ExpressPassConnection::abort_flow(const std::string& why) {
+  sim_.cancel(request_timer_);
+  credit_sched_.stop();
+  sim_.cancel(feedback_timer_);
+  done_ = true;
   fail_flow(why);
 }
 
@@ -228,7 +210,7 @@ void ExpressPassConnection::receiver_on_packet(Packet&& p) {
     case PktType::kCreditStop:
       done_ = true;
       credit_sched_.stop();
-      rsim_.cancel(feedback_timer_);
+      sim_.cancel(feedback_timer_);
       return;
     case PktType::kData: {
       ++data_rcvd_period_;
@@ -281,7 +263,7 @@ void ExpressPassConnection::receiver_on_packet(Packet&& p) {
         done_ = true;
         if (credit_sched_.running()) {
           credit_sched_.stop();
-          rsim_.cancel(feedback_timer_);
+          sim_.cancel(feedback_timer_);
         }
       }
       return;
@@ -296,14 +278,10 @@ void ExpressPassConnection::start_credits() {
   data_rcvd_period_ = 0;
   credit_sched_.start();
   feedback_timer_ =
-      rsim_.after(cfg_.update_period, [this] { run_feedback(); });
+      sim_.after(cfg_.update_period, [this] { run_feedback(); });
 }
 
 bool ExpressPassConnection::emit_credit() {
-  // failed(): the sender half may have aborted on its own thread; it cannot
-  // cancel our timers, so the credit pump stops itself here (returning
-  // false ends the scheduler's emission chain).
-  if (failed()) return false;
   Packet credit = net::make_control(PktType::kCredit, spec_.id,
                                     spec_.dst->id(), spec_.src->id());
   credit.seq = credit_seq_++;
@@ -311,7 +289,7 @@ bool ExpressPassConnection::emit_credit() {
   credit.credit_class = cfg_.traffic_class;
   if (cfg_.randomize_credit_size) {
     credit.wire_bytes = static_cast<uint32_t>(
-        rsim_.rng().uniform_int(net::kMinWireBytes, net::kMinWireBytes + 8));
+        sim_.rng().uniform_int(net::kMinWireBytes, net::kMinWireBytes + 8));
   }
   spec_.dst->send(std::move(credit));
   ++credits_sent_total_;
@@ -328,8 +306,7 @@ void ExpressPassConnection::run_feedback() {
   if (credits_sent_period_ > 0 && data_rcvd_period_ == 0) {
     if (++dead_periods_ >= cfg_.receiver_dead_periods) {
       abort_flow("receiver: credits paced but no data for " +
-                     std::to_string(dead_periods_) + " update periods",
-                 /*sender_half=*/false);
+                     std::to_string(dead_periods_) + " update periods");
       return;
     }
   } else if (data_rcvd_period_ > 0) {
@@ -347,7 +324,7 @@ void ExpressPassConnection::run_feedback() {
   credits_dropped_period_ = 0;
   data_rcvd_period_ = 0;
   feedback_timer_ =
-      rsim_.after(cfg_.update_period, [this] { run_feedback(); });
+      sim_.after(cfg_.update_period, [this] { run_feedback(); });
 }
 
 }  // namespace xpass::core

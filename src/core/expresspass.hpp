@@ -111,10 +111,8 @@ class ExpressPassConnection : public transport::Connection {
     return stop_sent_ && spec_.size_bytes != transport::kLongRunning &&
            snd_nxt_ >= spec_.size_bytes;
   }
-  // Settles the flow as failed. Sharded runs may only touch the calling
-  // half's timers (the other half's event queue belongs to another thread);
-  // the orphaned half observes failed() and winds itself down.
-  void abort_flow(const std::string& why, bool sender_half);
+  // Settles the flow as failed and stops both halves' timers.
+  void abort_flow(const std::string& why);
 
   // Receiver side.
   void receiver_on_packet(net::Packet&& p);

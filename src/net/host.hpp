@@ -64,7 +64,7 @@ class Host : public Node {
 
   HostDelayModel& delay_model() { return delay_model_; }
   void set_delay_model(HostDelayModel m) { delay_model_ = m; }
-  sim::Time sample_credit_delay() { return delay_model_.sample(sim_->rng()); }
+  sim::Time sample_credit_delay() { return delay_model_.sample(sim_.rng()); }
 
   // Credits that arrived for flows no longer registered (e.g. after the
   // sender finished): pure waste, counted for Fig 20.

@@ -18,7 +18,7 @@ class Node {
   enum class Kind { kHost, kSwitch };
 
   Node(sim::Simulator& sim, NodeId id, Kind kind, std::string name)
-      : sim_(&sim), id_(id), kind_(kind), name_(std::move(name)) {}
+      : sim_(sim), id_(id), kind_(kind), name_(std::move(name)) {}
   virtual ~Node();
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -31,12 +31,7 @@ class Node {
   const Port& port(size_t i) const { return *ports_[i]; }
   size_t num_ports() const { return ports_.size(); }
 
-  sim::Simulator& simulator() { return *sim_; }
-
-  // Sharded runs: re-points this node (and every port it owns) at its
-  // shard's simulator. Must happen before any events or transports bind to
-  // the node — the Topology partitioner calls it right after finalize().
-  void rebind_simulator(sim::Simulator& sim);
+  sim::Simulator& simulator() { return sim_; }
   NodeId id() const { return id_; }
   Kind kind() const { return kind_; }
   const std::string& name() const { return name_; }
@@ -52,9 +47,7 @@ class Node {
   }
 
  protected:
-  // Pointer, not reference: sharded runs rebind nodes onto shard-local
-  // simulators after topology construction (rebind_simulator).
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
 
  private:
   NodeId id_;

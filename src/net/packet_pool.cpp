@@ -2,17 +2,10 @@
 
 namespace xpass::net {
 
-namespace {
-thread_local PacketPool* bound_pool = nullptr;
-}  // namespace
-
 PacketPool& PacketPool::local() {
-  if (bound_pool != nullptr) return *bound_pool;
   thread_local PacketPool pool;
   return pool;
 }
-
-void PacketPool::bind(PacketPool* p) { bound_pool = p; }
 
 void PacketPool::grow() {
   slabs_.push_back(std::make_unique<Node[]>(kSlabPackets));

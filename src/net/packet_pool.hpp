@@ -13,18 +13,6 @@
 // thread each), so acquire/release never cross threads and need no locks.
 // Slabs are never returned to the allocator; steady state recycles the same
 // slots through the intrusive freelist forever — zero mallocs per packet.
-//
-// Sharded runs (sim::ParallelSimulator) keep the lock-free contract by
-// *ownership*, not locking: each shard's worker thread binds its shard's
-// pool for its whole lifetime (bind()), so every in-window acquire/release
-// stays on one thread. The remaining cross-pool traffic — control events on
-// the barrier thread acquiring packets that a worker later releases, or
-// teardown releasing worker-acquired packets on the main thread — happens
-// only while workers are parked, which makes it single-threaded too; it
-// merely migrates freelist nodes between pools. That migration is why shard
-// pools must be immortal (see Topology's shard pools): a node may outlive
-// the pool whose slab allocated it only if no slab is ever freed.
-// outstanding() is exact only when no migration has occurred.
 #pragma once
 
 #include <cstddef>
@@ -38,14 +26,8 @@ namespace xpass::net {
 
 class PacketPool {
  public:
-  // The calling thread's pool: the bound pool if bind() was called on this
-  // thread, else a thread-local default (simulations are single-threaded;
-  // see above).
+  // The calling thread's pool (simulations are single-threaded; see above).
   static PacketPool& local();
-
-  // Redirects this thread's local() to `p` (nullptr restores the default).
-  // Shard worker threads bind their shard's pool before processing events.
-  static void bind(PacketPool* p);
 
   Packet* acquire(Packet&& p) {
     if (free_ == nullptr) grow();

@@ -27,7 +27,7 @@ DropTailQueue::Config data_queue_config(const LinkConfig& cfg) {
 }  // namespace
 
 Port::Port(sim::Simulator& sim, Node& owner, LinkConfig cfg)
-    : sim_(&sim),
+    : sim_(sim),
       owner_(owner),
       cfg_(cfg),
       shape_credits_(owner.kind() == Node::Kind::kSwitch ||
@@ -54,7 +54,7 @@ Port::Port(sim::Simulator& sim, Node& owner, LinkConfig cfg)
 }
 
 void Port::enqueue(Packet&& p) {
-  const sim::Time now = sim_->now();
+  const sim::Time now = sim_.now();
   if (is_credit_class(p.type)) {
     const size_t cls =
         std::min<size_t>(p.credit_class, credit_qs_.size() - 1);
@@ -103,7 +103,7 @@ void Port::signal_pfc(bool pause) {
     Port& ingress = owner_.port(i);
     Port* upstream = ingress.peer();
     if (upstream == nullptr) continue;
-    sim_->after(ingress.config().prop_delay, [upstream, pause] {
+    sim_.after(ingress.config().prop_delay, [upstream, pause] {
       if (pause) {
         upstream->pfc_pause();
       } else {
@@ -142,11 +142,11 @@ void Port::check_flow_bp(FlowId flow) {
     ++flow_pause_events_;
     // Pause frames are link-level control riding the reverse direction of
     // the ingress link, modeled as a propagation-delayed signal.
-    sim_->after(up->config().prop_delay, [up, flow] { up->flow_pause(flow); });
+    sim_.after(up->config().prop_delay, [up, flow] { up->flow_pause(flow); });
   } else if (e.paused && backlog < cfg_.flow_resume_bytes) {
     e.paused = false;
-    sim_->after(up->config().prop_delay,
-                [up, flow] { up->flow_resume(flow); });
+    sim_.after(up->config().prop_delay,
+               [up, flow] { up->flow_resume(flow); });
   } else if (!e.paused && backlog == 0) {
     // Drained and unpaused: tombstone, keeping the table bounded by the
     // flows actually queued or paused here.
@@ -176,7 +176,7 @@ void Port::release_flow_bp() {
     if (!e.live || !e.paused) continue;
     Port* const up = e.upstream;
     const FlowId flow = e.flow;
-    sim_->after(up->config().prop_delay, [up, flow] { up->flow_resume(flow); });
+    sim_.after(up->config().prop_delay, [up, flow] { up->flow_resume(flow); });
   }
   bp_entries_.clear();
   bp_ix_.clear();
@@ -205,7 +205,7 @@ bool Port::work_queued() const {
 void Port::schedule_kick() {
   if (kick_pending_) return;
   kick_pending_ = true;
-  sim_->at(free_at_, [this] {
+  sim_.at(free_at_, [this] {
     kick_pending_ = false;
     ++kick_events_;
     try_transmit();
@@ -214,7 +214,7 @@ void Port::schedule_kick() {
 
 void Port::try_transmit() {
   if (!up_) return;
-  const sim::Time now = sim_->now();
+  const sim::Time now = sim_.now();
   if (now < free_at_) {
     // Serializer busy. Every caller that can add work lands here; arm the
     // wakeup at serializer-free time once (the legacy path armed it
@@ -245,7 +245,7 @@ void Port::try_transmit() {
       // a wakeup at the sentinel — recovery re-kicks transmission.
       if (wait == TokenBucket::kNever) return;
       retry_pending_ = true;
-      sim_->after(wait, [this] {
+      sim_.after(wait, [this] {
         retry_pending_ = false;
         ++retry_events_;
         try_transmit();
@@ -324,25 +324,15 @@ void Port::try_transmit() {
   // (scheduled before the delivery, preserving the legacy event order for
   // same-timestamp ties).
   if (cfg_.legacy_tx_events || work_queued()) schedule_kick();
-  if (remote_peer()) {
-    // The peer lives in another shard: hand the delivery to the barrier's
-    // cross-shard channel at the identical arrival instant. The packet
-    // crosses by value (64-byte POD) — pool slots are shard-owned and never
-    // travel. The lookahead guarantees free_at_ + prop lands at or beyond
-    // the current window's end, so the destination thread has not passed it.
-    psim_->post(self_shard_, peer_shard_, free_at_ + cfg_.prop_delay,
-                [this, p = pkt]() mutable { deliver_to_peer(std::move(p)); });
-    return;
-  }
   // The packet rides the wire in a pool slot: the capture is [this + one
   // pointer], which stays inside the event queue's inline callback buffer
   // (a by-value Packet capture would spill to the allocator every hop).
   sim::Time prop = cfg_.prop_delay;
   if (cfg_.prop_jitter > sim::Time::zero()) {
     prop = prop + sim::Time::seconds(
-                      sim_->rng().uniform(0.0, cfg_.prop_jitter.to_sec()));
+                      sim_.rng().uniform(0.0, cfg_.prop_jitter.to_sec()));
   }
-  sim_->after(tx + prop,
+  sim_.after(tx + prop,
              [this, r = PacketRef(std::move(pkt))]() mutable {
                deliver_to_peer(std::move(*r));
              });
@@ -351,14 +341,14 @@ void Port::try_transmit() {
 void Port::schedule_train_drain() {
   if (train_pending_ || wire_fifo_.empty()) return;
   train_pending_ = true;
-  sim_->at(wire_fifo_.front().arrival + cfg_.train_window,
+  sim_.at(wire_fifo_.front().arrival + cfg_.train_window,
           [this] { drain_train(); });
 }
 
 void Port::drain_train() {
   train_pending_ = false;
   ++train_events_;
-  const sim::Time now = sim_->now();
+  const sim::Time now = sim_.now();
   // Deliver in arrival order, but only frames that have truly reached the
   // peer by now — a train longer than the window leaves its tail for the
   // next drain, so no frame is ever delivered before its wire arrival.
@@ -413,7 +403,7 @@ void Port::fail(LinkFailMode mode) {
   owner_.bump_liveness_epoch();  // invalidate cached live-candidate tables
   ++fault_.failures;
   if (mode == LinkFailMode::kDrop) {
-    const sim::Time now = sim_->now();
+    const sim::Time now = sim_.now();
     fault_.flushed_data += data_q_.clear(now);
     for (CreditQueue& q : credit_qs_) fault_.flushed_credits += q.clear(now);
   }
@@ -427,7 +417,7 @@ void Port::recover() {
   up_ = true;
   owner_.bump_liveness_epoch();
   ++fault_.recoveries;
-  credit_shaper_.reset(sim_->now());
+  credit_shaper_.reset(sim_.now());
   try_transmit();
 }
 
@@ -540,7 +530,7 @@ void Port::enable_rcp(sim::Time d0) {
   rcp_ = std::make_unique<RcpState>();
   rcp_->d0 = d0;
   rcp_->rate_bps = cfg_.rate_bps;  // flows start at the advertised rate
-  sim_->after(d0, [this] { rcp_update(); });
+  sim_.after(d0, [this] { rcp_update(); });
 }
 
 void Port::rcp_update() {
@@ -555,7 +545,7 @@ void Port::rcp_update() {
   s.rate_bps = s.rate_bps * (1.0 + delta);
   s.rate_bps = std::clamp(s.rate_bps, capacity * 1e-4, capacity);
   s.bytes_in = 0;
-  sim_->after(s.d0, [this] { rcp_update(); });
+  sim_.after(s.d0, [this] { rcp_update(); });
 }
 
 // Node methods that need Port's full definition ---------------------------
@@ -563,13 +553,8 @@ void Port::rcp_update() {
 Node::~Node() = default;
 
 Port& Node::add_port(const LinkConfig& cfg) {
-  ports_.push_back(std::make_unique<Port>(*sim_, *this, cfg));
+  ports_.push_back(std::make_unique<Port>(sim_, *this, cfg));
   return *ports_.back();
-}
-
-void Node::rebind_simulator(sim::Simulator& sim) {
-  sim_ = &sim;
-  for (auto& p : ports_) p->rebind(sim);
 }
 
 }  // namespace xpass::net

@@ -20,7 +20,6 @@
 #include "net/queue.hpp"
 #include "net/ring_buffer.hpp"
 #include "net/token_bucket.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace xpass::net {
@@ -160,26 +159,6 @@ class Port {
   Port* peer() { return peer_; }
   Node& owner() { return owner_; }
 
-  // Sharded runs: re-points the port at its shard's simulator (called via
-  // Node::rebind_simulator before any traffic flows).
-  void rebind(sim::Simulator& sim) { sim_ = &sim; }
-  // Marks the far end of this link as living in a different shard: instead
-  // of scheduling the wire delivery on the local queue, try_transmit posts
-  // it through the ParallelSimulator's cross-shard channel at the same
-  // arrival instant. The delivery callback (deliver_to_peer) then executes
-  // on the *destination* shard's thread — safe because the sender-side
-  // state it reads (up_/fail_mode_/error_) mutates only at barriers, and
-  // for a remote port the error model rolls only on that one thread.
-  void set_remote_route(sim::ParallelSimulator* psim, uint32_t self_shard,
-                        uint32_t peer_shard) {
-    psim_ = psim;
-    self_shard_ = self_shard;
-    peer_shard_ = peer_shard;
-  }
-  bool remote_peer() const {
-    return psim_ != nullptr && self_shard_ != peer_shard_;
-  }
-
   // Entry point: classify and queue the packet, start transmitting if idle.
   void enqueue(Packet&& p);
 
@@ -300,12 +279,8 @@ class Port {
   // software-limiter noise, deterministic per credit).
   double credit_cost(size_t cls) const;
 
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   Node& owner_;
-  // Cross-shard egress indirection (serial runs: psim_ stays null).
-  sim::ParallelSimulator* psim_ = nullptr;
-  uint32_t self_shard_ = 0;
-  uint32_t peer_shard_ = 0;
   LinkConfig cfg_;
   bool shape_credits_;
   double shaper_noise_;

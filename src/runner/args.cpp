@@ -151,8 +151,6 @@ size_t Args::runs() {
   return static_cast<size_t>(v);
 }
 
-size_t Args::shards() { return static_cast<size_t>(u64("shards", 0)); }
-
 double Args::timeout_ms() {
   const double v = f64("timeout-ms", 0);
   if (v < 0) {

@@ -45,10 +45,6 @@ class Args {
   size_t jobs();
   // `--runs M`: >= 1 seed replications.
   size_t runs();
-  // `--shards N`: sharded parallel event core. 0 (the absent default) and 1
-  // both mean the serial core; N >= 2 partitions the topology across N
-  // worker threads (see sim::ParallelSimulator).
-  size_t shards();
 
   // Campaign flags (see exec::CampaignOptions).
   // `--timeout-ms T`: per-run wall-clock budget, >= 0 ms; absent returns 0

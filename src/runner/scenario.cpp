@@ -8,13 +8,10 @@
 #include "core/credit_telemetry.hpp"
 #include "exec/sweep_runner.hpp"
 #include "net/fault_injector.hpp"
-#include "net/packet_pool.hpp"
-#include "net/partition.hpp"
 #include "net/topology_builders.hpp"
 #include "runner/flow_driver.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/invariants.hpp"
-#include "sim/parallel.hpp"
 #include "stats/fairness.hpp"
 #include "transport/credit_sched.hpp"
 #include "workload/generators.hpp"
@@ -309,9 +306,7 @@ void validate_flow_groups(const ScenarioSpec& spec) {
 constexpr uint32_t kGroupSaltStride = 1u << 20;
 
 // Everything after the run loop: final sweeps, scalar extraction, recorder
-// mirroring, teardown. Shared verbatim by the serial and sharded paths —
-// by the time it runs, a sharded driver has already merged its shard sinks,
-// so both paths read the same collectors the same way.
+// mirroring, teardown.
 ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
                           net::Topology& topo, const Built& b,
                           FlowDriver& driver, sim::InvariantChecker& checker,
@@ -500,244 +495,10 @@ ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
   return res;
 }
 
-// Specs the conservative window protocol cannot shard: couplings that flow
-// through anything other than the per-link packet streams (PFC pause frames
-// reach into the upstream port's state, delivery trains batch across the
-// cut, kIdeal's oracle and the PFC protocols' control loops are global).
-void validate_parallel(const ScenarioSpec& spec, const net::Topology& topo) {
-  if (!spec.flow_groups.empty()) {
-    throw std::invalid_argument(
-        "ScenarioSpec.shards: mixed-protocol flow_groups cannot run sharded "
-        "(per-group transports and result extraction are serial-engine "
-        "machinery)");
-  }
-  const char* why = nullptr;
-  if (spec.protocol == Protocol::kIdeal) {
-    why = "kIdeal's central max-min oracle is global state";
-  } else if (spec.protocol == Protocol::kDcqcn ||
-             spec.protocol == Protocol::kTimely) {
-    why = "PFC-based protocols backpressure across link boundaries";
-  } else if (spec.protocol == Protocol::kSird) {
-    why = "SIRD's per-receiver grant allocator is cross-flow shared state";
-  } else if (spec.protocol == Protocol::kBfc) {
-    why = "BFC's per-hop flow backpressure mutates upstream ports across "
-          "the cut";
-  }
-  if (why != nullptr) {
-    throw std::invalid_argument(std::string("ScenarioSpec.shards: protocol ") +
-                                std::string(protocol_name(spec.protocol)) +
-                                " cannot run sharded (" + why + ")");
-  }
-  for (const auto& l : topo.links()) {
-    for (const net::Port* p : {l.pa, l.pb}) {
-      if (p->config().pfc) {
-        throw std::invalid_argument(
-            "ScenarioSpec.shards: PFC links cannot run sharded (pause frames "
-            "mutate the upstream port across the cut)");
-      }
-      if (p->config().hop_backpressure) {
-        throw std::invalid_argument(
-            "ScenarioSpec.shards: hop-backpressure links cannot run sharded "
-            "(flow pause/resume mutates the upstream port across the cut)");
-      }
-      if (p->config().train_window > sim::Time::zero()) {
-        throw std::invalid_argument(
-            "ScenarioSpec.shards: delivery trains cannot run sharded (train "
-            "batching is not modeled across the cut)");
-      }
-      if (p->config().prop_jitter > sim::Time::zero()) {
-        throw std::invalid_argument(
-            "ScenarioSpec.shards: jittered links cannot run sharded "
-            "(per-delivery RNG draws would come from the wrong shard's "
-            "stream, and jittered arrivals can land inside the lookahead "
-            "window)");
-      }
-    }
-  }
-}
-
-// The sharded twin of ScenarioEngine::run(): identical construction order
-// and measurement, with the simulation clock driven by a ParallelSimulator
-// over a partitioned topology. Deterministic in (spec.seed, spec) — which
-// includes spec.shards; different shard counts are different (individually
-// reproducible) experiments.
-ScenarioResult run_parallel_scenario(const ScenarioSpec& spec,
-                                     const RunOverrides& overrides) {
-  sim::ParallelSimulator psim(spec.seed, spec.shards,
-                              spec.heap_only_events
-                                  ? sim::EventQueue::Backend::kHeapOnly
-                                  : sim::EventQueue::Backend::kHybrid);
-  sim::Simulator& sim = psim.control();
-  {
-    sim::RunBudget budget = spec.budget.value_or(sim::RunBudget{});
-    if (overrides.wall_clock_ms > 0 && (budget.max_wall_ms <= 0 ||
-                                        overrides.wall_clock_ms <
-                                            budget.max_wall_ms)) {
-      budget.max_wall_ms = overrides.wall_clock_ms;
-    }
-    if (budget.any()) psim.set_budget(budget);
-  }
-  net::Topology topo(sim);
-
-  const TopologySpec& ts = spec.topology;
-  const double fabric_rate =
-      ts.fabric_rate_bps > 0 ? ts.fabric_rate_bps : ts.host_rate_bps;
-  const sim::Time fabric_prop =
-      ts.fabric_prop > sim::Time::zero() ? ts.fabric_prop : ts.host_prop;
-  Built b = build_network(spec, topo, fabric_rate, fabric_prop);
-  validate_parallel(spec, topo);
-
-  const net::Partition part = net::partition_topology(topo, spec.shards);
-  psim.set_lookahead(part.lookahead);
-
-  // Per-shard packet pools, intentionally leaked: freelist nodes migrate
-  // between pools whenever the control thread acquires a packet a worker
-  // later releases (or vice versa at teardown), so no pool that ever served
-  // this run may free its slabs (see PacketPool's file comment).
-  std::vector<net::PacketPool*> pools;
-  pools.reserve(psim.shard_count());
-  for (size_t i = 0; i < psim.shard_count(); ++i) {
-    pools.push_back(new net::PacketPool());
-  }
-  psim.set_worker_init(
-      [pools](size_t shard) { net::PacketPool::bind(pools[shard]); });
-
-  // Re-point every node (and its ports) at its shard's simulator, then give
-  // the cut ports their cross-shard egress route. Must precede
-  // make_transport(): connections and per-port protocol state (RCP) bind to
-  // whichever simulator the endpoints hold.
-  for (size_t id = 0; id < topo.num_nodes(); ++id) {
-    topo.node(id).rebind_simulator(psim.shard(part.shard_of[id]));
-  }
-  for (const auto& l : topo.links()) {
-    const uint32_t sa = part.shard_of[l.a];
-    const uint32_t sb = part.shard_of[l.b];
-    if (sa == sb) continue;
-    l.pa->set_remote_route(&psim, sa, sb);
-    l.pb->set_remote_route(&psim, sb, sa);
-  }
-
-  auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
-                                  spec.xp ? &*spec.xp : nullptr);
-  FlowDriver driver(sim, *transport);
-  driver.set_parallel(psim, part.shard_of);
-  // Traffic draws come from the control RNG — the same stream, in the same
-  // order, as a serial run of this spec.
-  add_traffic(spec, b, sim, driver, fabric_rate);
-
-  // Faults, invariant sweeps, and telemetry all run as control events: they
-  // fire at window barriers while the workers are parked, which is exactly
-  // when cross-shard reads and port fail/recover mutations are safe.
-  sim::FaultPlan plan(spec.fault_seed);
-  net::FaultInjector injector(topo, plan);
-  const bool has_faults = spec.faults.any();
-  if (has_faults) {
-    const net::Topology::LinkRec* target = nullptr;
-    for (const auto& l : topo.links()) {
-      if (topo.node(l.a).kind() == net::Node::Kind::kSwitch &&
-          topo.node(l.b).kind() == net::Node::Kind::kSwitch) {
-        target = &l;
-        break;
-      }
-    }
-    if (target == nullptr && !topo.links().empty()) {
-      target = &topo.links().front();
-    }
-    if (target != nullptr) {
-      apply_fault_scenario(spec.faults, injector, topo.node(target->a),
-                           topo.node(target->b));
-      plan.arm(sim);
-    }
-  }
-
-  sim::InvariantChecker checker(sim);
-  if (spec.check_invariants) {
-    NetInvariantOptions iopts;
-    iopts.expect_zero_data_loss = is_expresspass(spec.protocol);
-    register_network_invariants(checker, topo, driver,
-                                has_faults ? &plan : nullptr, iopts);
-    checker.start(sim::Time::us(100));
-  }
-
-  stats::Recorder rec;
-  topo.register_telemetry(rec, spec.telemetry.per_port_queue_series);
-  driver.register_telemetry(rec, spec.telemetry.flow_rate_series);
-  if (is_expresspass(spec.protocol)) {
-    core::register_credit_telemetry(rec, topo, driver.connections());
-  }
-  if (spec.telemetry.bottleneck_queue_series && b.bottleneck != nullptr) {
-    net::Port* p = b.bottleneck;
-    rec.series_gauge("queue.bottleneck.bytes", [p] {
-      return static_cast<double>(p->data_queue().bytes());
-    });
-  }
-
-  // Stepped sampling: each step ends at a window barrier, the shard rate
-  // sinks are drained, and only then do the gauges sample — so a sampled
-  // sharded run reads consistent global state without ever interrupting a
-  // window.
-  const sim::Time interval = spec.telemetry.sample_interval;
-  auto run_until = [&](sim::Time until) {
-    if (interval > sim::Time::zero()) {
-      sim::Time t = sim.now();
-      while (t < until) {
-        t = std::min(t + interval, until);
-        psim.run_until(t);
-        if (sim.aborted()) break;  // drop the partial sample point
-        driver.sync_rates();
-        rec.sample_all(t.to_sec());
-      }
-    } else {
-      psim.run_until(until);
-    }
-  };
-
-  std::vector<std::pair<uint32_t, double>> rate_pairs;
-  uint64_t tx_before = 0;
-  bool completion_result = false;
-  switch (spec.stop.kind) {
-    case StopKind::kRunFor:
-      run_until(spec.stop.horizon);
-      break;
-    case StopKind::kWindow:
-      run_until(spec.stop.warmup);
-      driver.sync_rates();
-      if (b.bottleneck != nullptr) tx_before = b.bottleneck->tx_data_bytes();
-      driver.rates().snapshot_rates_ordered(spec.stop.warmup);  // reset
-      run_until(spec.stop.warmup + spec.stop.window);
-      driver.sync_rates();
-      rate_pairs = driver.rates().snapshot_rates_ordered(spec.stop.window);
-      break;
-    case StopKind::kCompletion: {
-      const sim::Time chunk =
-          interval > sim::Time::zero() ? interval : sim::Time::ms(1);
-      sim::Time t = sim.now();
-      while (t < spec.stop.horizon && !sim.aborted() &&
-             driver.completed() + driver.failed() < driver.scheduled()) {
-        t = std::min(t + chunk, spec.stop.horizon);
-        psim.run_until(t);
-        if (sim.aborted()) break;
-        if (interval > sim::Time::zero()) {
-          driver.sync_rates();
-          rec.sample_all(t.to_sec());
-        }
-      }
-      completion_result = driver.completed() == driver.scheduled();
-      break;
-    }
-  }
-  driver.finish_parallel();
-
-  return finish_run(spec, sim, topo, b, driver, checker, injector, plan,
-                    has_faults, rec, std::move(rate_pairs), tx_before,
-                    completion_result);
-}
-
 }  // namespace
 
 ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
                                    const RunOverrides& overrides) const {
-  if (spec.shards > 1) return run_parallel_scenario(spec, overrides);
   sim::Simulator sim(spec.seed, spec.heap_only_events
                                     ? sim::EventQueue::Backend::kHeapOnly
                                     : sim::EventQueue::Backend::kHybrid);
@@ -896,18 +657,6 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
 
 std::vector<ScenarioResult> ScenarioEngine::run_grid(
     const std::vector<ScenarioSpec>& grid, size_t jobs) const {
-  // Nested-parallelism budget: a sharded spec already occupies `shards`
-  // threads, so scale the sweep's worker count down by the widest spec in
-  // the grid — a grid of 8-shard runs on a 16-core box gets 2 sweep workers,
-  // not 16x8 threads fighting the scheduler.
-  size_t max_shards = 1;
-  for (const ScenarioSpec& s : grid) {
-    max_shards = std::max(max_shards, std::max<size_t>(s.shards, 1));
-  }
-  if (max_shards > 1) {
-    if (jobs == 0) jobs = exec::default_jobs();
-    jobs = std::max<size_t>(1, jobs / max_shards);
-  }
   exec::SweepRunner pool(jobs);
   return pool.map(grid.size(), [&](size_t i) { return run(grid[i]); });
 }

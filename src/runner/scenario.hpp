@@ -81,8 +81,7 @@ struct TopologySpec {
   // Per-packet propagation jitter applied to every link (host and fabric):
   // each exact-mode delivery adds U(0, link_jitter) to the propagation
   // delay. Models variable last hops for the real-time scenarios; zero
-  // (default) draws nothing, so legacy runs stay byte-identical. Serial
-  // engine only — the parallel envelope rejects jittered links.
+  // (default) draws nothing, so legacy runs stay byte-identical.
   sim::Time link_jitter;
 };
 
@@ -189,7 +188,6 @@ struct ScenarioSpec {
   TrafficSpec traffic;
   // Mixed-protocol coexistence groups (see FlowGroupSpec). Empty = the
   // classic single-protocol path, byte-identical to every pre-existing run.
-  // Serial engine only; the parallel envelope rejects mixed specs.
   std::vector<FlowGroupSpec> flow_groups;
   StopSpec stop;
   TelemetrySpec telemetry;
@@ -210,17 +208,6 @@ struct ScenarioSpec {
   // Part of the spec — it round-trips through spec_json and participates in
   // campaign content addressing (a budgeted run IS a different experiment).
   std::optional<sim::RunBudget> budget;
-  // Sharded parallel execution (sim::ParallelSimulator): the topology is
-  // partitioned into this many shards, each running on its own thread with
-  // conservative time-window synchronization. 0 or 1 = the serial core,
-  // byte-identical to every pre-existing run. Shard count is part of the
-  // experiment's identity: a sharded run is deterministic and reproducible
-  // at a *fixed* shard count, but different counts produce different (all
-  // individually valid) event interleavings. spec_json emits the field only
-  // when > 1, so serial cache keys are unchanged. Not every spec can shard:
-  // PFC links, delivery trains, and the kIdeal/kDcqcn/kTimely protocols
-  // couple shards outside the credit/data packet streams and are rejected.
-  size_t shards = 0;
 };
 
 // Per-invocation enforcement knobs that are NOT part of the experiment's

@@ -136,17 +136,6 @@ void EventQueue::fire_wheel() {
   cb();
 }
 
-Time EventQueue::next_time() {
-  if (!staging_.empty()) flush_staging();
-  skim_cancelled();
-  const TimingWheel::Entry* w = next_wheel();
-  const bool heap_has = !heap_.empty();
-  if (!w && !heap_has) return Time::max();
-  if (!w) return heap_[0].t;
-  if (!heap_has) return w->t;
-  return earlier(heap_[0], Entry{w->t, w->key}) ? heap_[0].t : w->t;
-}
-
 bool EventQueue::step() {
   if (!staging_.empty()) flush_staging();
   skim_cancelled();

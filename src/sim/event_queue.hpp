@@ -104,13 +104,6 @@ class EventQueue {
   // Exact count of scheduled-and-not-yet-fired-or-cancelled events.
   size_t pending() const { return live_count_; }
 
-  // Timestamp of the earliest pending event, or Time::max() if none.
-  // Performs the same pre-fire bookkeeping as step() (staging flush,
-  // cancelled-entry skim) — trace-invisible, since routing at flush time is
-  // fire-order-identical and the wheel cursor only moves on fires. The
-  // parallel window barrier uses this to size conservative time windows.
-  Time next_time();
-
   // Fires the next event. Returns false if none remain.
   bool step();
   // Fires the next event only if it is scheduled at or before `t_end`.

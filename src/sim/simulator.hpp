@@ -60,16 +60,6 @@ class Simulator {
   // Events fired since the budget was armed.
   uint64_t budget_events_fired() const { return events_.fired() - armed_fired_; }
 
-  // Timestamp of the earliest pending event (Time::max() if none); used by
-  // ParallelSimulator to compute conservative window boundaries.
-  Time next_event_time() { return events_.next_time(); }
-
-  // External abort: the ParallelSimulator enforces the run budget itself at
-  // barrier granularity (events fire on shard queues, not here) and trips
-  // the control simulator's abort state through this so harness loops see
-  // the usual aborted()/abort_reason() contract.
-  void force_abort(AbortReason r) { abort_ = r; }
-
   // Exact count of live (scheduled, not yet fired or cancelled) events.
   size_t pending() const { return events_.pending(); }
 

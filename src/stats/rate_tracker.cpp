@@ -1,17 +1,8 @@
 #include "stats/rate_tracker.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace xpass::stats {
-
-void RateTracker::drain_into(RateTracker& dst) {
-  std::vector<std::pair<uint32_t, uint64_t>> moved(bytes_.begin(),
-                                                   bytes_.end());
-  std::sort(moved.begin(), moved.end());
-  for (const auto& [flow, b] : moved) dst.add(flow, b);
-  for (auto& [flow, b] : bytes_) b = 0;
-}
 
 std::vector<double> RateTracker::snapshot_rates(sim::Time window) {
   std::vector<double> out;

@@ -31,14 +31,6 @@ class RateTracker {
   std::vector<std::pair<uint32_t, double>> snapshot_rates_ordered(
       sim::Time window);
 
-  // Moves this tracker's windowed byte counts into `dst` in ascending flow
-  // id order (dst.add per flow, including zero-byte flows so dst's map
-  // insertion history — and therefore its traversal order — depends only on
-  // which flows exist, not on which happened to have traffic), then resets
-  // this tracker's windows. Sharded runs flush per-shard trackers into the
-  // scenario tracker with this at window barriers.
-  void drain_into(RateTracker& dst);
-
   uint64_t total_bytes() const { return total_; }
   // All-time delivered bytes for one flow (never reset by snapshots) — the
   // telemetry series probes sample this.

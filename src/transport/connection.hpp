@@ -1,24 +1,9 @@
 // Connection: one flow's sender+receiver endpoint pair, created by a
 // Transport factory. Subclasses implement the protocol; the base tracks
-// delivery, completion, and goodput.
-//
-// Sharded runs split a connection across two threads: the sender half runs
-// on the source host's shard, the receiver half on the destination's. The
-// base is built for that split:
-//   - sim_ is the *sender-side* simulator (the source host's, which is the
-//     shard simulator after Topology partitioning rebinds nodes), rsim_ the
-//     receiver side's. Serial runs see one object behind both references.
-//   - settlement (completed/failed) is a single atomic CAS, because the
-//     halves race to settle: the receiver completes in deliver() on the
-//     destination thread while the sender may concurrently give up in
-//     fail_flow() on the source thread. Exactly one wins; a settled flow is
-//     final either way.
-// Everything else (delivered_, completion_time_, fail_reason_) is written
-// only by the settling thread before its settlement callback, and read by
-// other threads only after the run's final barrier (thread-join ordering).
+// delivery, completion, and goodput. A flow settles exactly once, either
+// completed or failed; a settled flow is final.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,12 +19,8 @@ namespace xpass::transport {
 
 class Connection {
  public:
-  // `sim` is the scenario simulator; endpoints that have been rebound onto
-  // shard simulators override it per half via their owning host.
   Connection(sim::Simulator& sim, const FlowSpec& spec)
-      : sim_(spec.src != nullptr ? spec.src->simulator() : sim),
-        rsim_(spec.dst != nullptr ? spec.dst->simulator() : sim),
-        spec_(spec) {}
+      : sim_(sim), spec_(spec) {}
   virtual ~Connection() = default;
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -52,18 +33,14 @@ class Connection {
 
   const FlowSpec& spec() const { return spec_; }
   uint64_t delivered_bytes() const { return delivered_; }
-  bool completed() const {
-    return settled_.load(std::memory_order_acquire) == kCompleted;
-  }
+  bool completed() const { return settled_ == kCompleted; }
   sim::Time completion_time() const { return completion_time_; }
   sim::Time fct() const { return completion_time_ - spec_.start_time; }
 
   // True once the protocol gave up on the flow (endpoint unreachable past
   // its retry budget). A failed flow is settled: it will make no further
   // progress, but it never "completes".
-  bool failed() const {
-    return settled_.load(std::memory_order_acquire) == kFailed;
-  }
+  bool failed() const { return settled_ == kFailed; }
   const std::string& fail_reason() const { return fail_reason_; }
 
   void set_on_complete(std::function<void(Connection&)> cb) {
@@ -75,46 +52,35 @@ class Connection {
   void set_rate_tracker(stats::RateTracker* rt) { tracker_ = rt; }
 
  protected:
-  // Receiver-side: `bytes` of new in-order payload arrived. Runs on the
-  // receiver half's thread; completion is stamped with the receiver clock.
+  // Receiver-side: `bytes` of new in-order payload arrived.
   void deliver(uint64_t bytes) {
     delivered_ += bytes;
     if (tracker_ != nullptr) tracker_->add(spec_.id, bytes);
-    if (spec_.size_bytes != kLongRunning && delivered_ >= spec_.size_bytes) {
-      uint8_t open = kOpen;
-      if (settled_.compare_exchange_strong(open, kCompleted,
-                                           std::memory_order_acq_rel)) {
-        completion_time_ = rsim_.now();
-        if (on_complete_) on_complete_(*this);
-      }
+    if (spec_.size_bytes != kLongRunning && delivered_ >= spec_.size_bytes &&
+        settled_ == kOpen) {
+      settled_ = kCompleted;
+      completion_time_ = sim_.now();
+      if (on_complete_) on_complete_(*this);
     }
   }
 
   // Protocol-side: give up on the flow (graceful abort after exhausting
   // retries against a dead path). Idempotent; completed flows cannot fail.
-  // May be called from either half's thread.
   void fail_flow(std::string reason) {
-    uint8_t open = kOpen;
-    if (!settled_.compare_exchange_strong(open, kFailed,
-                                          std::memory_order_acq_rel)) {
-      return;
-    }
+    if (settled_ != kOpen) return;
+    settled_ = kFailed;
     fail_reason_ = std::move(reason);
     if (on_fail_) on_fail_(*this);
   }
 
-  // Sender-side simulator (named sim_ so the half that owns most protocol
-  // timers reads naturally) and receiver-side simulator. The same object in
-  // serial runs.
   sim::Simulator& sim_;
-  sim::Simulator& rsim_;
   FlowSpec spec_;
 
  private:
   enum : uint8_t { kOpen = 0, kCompleted = 1, kFailed = 2 };
 
   uint64_t delivered_ = 0;
-  std::atomic<uint8_t> settled_{kOpen};
+  uint8_t settled_ = kOpen;
   std::string fail_reason_;
   sim::Time completion_time_;
   std::function<void(Connection&)> on_complete_;

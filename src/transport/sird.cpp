@@ -102,7 +102,7 @@ void SirdConnection::stop() {
   spec_.src->unregister_flow(spec_.id);
   spec_.dst->unregister_flow(spec_.id);
   sim_.cancel(request_timer_);
-  rsim_.cancel(probe_timer_);
+  sim_.cancel(probe_timer_);
   while (!release_timers_.empty()) sim_.cancel(release_timers_.pop_front());
   if (alloc_ != nullptr) alloc_->remove(this);
 }
@@ -251,7 +251,7 @@ void SirdConnection::receiver_on_packet(Packet&& p) {
       return;
     case PktType::kCreditStop:
       done_ = true;
-      rsim_.cancel(probe_timer_);
+      sim_.cancel(probe_timer_);
       return;
     case PktType::kData: {
       received_bytes_ += p.payload_bytes;
@@ -280,7 +280,7 @@ void SirdConnection::receiver_on_packet(Packet&& p) {
       }
       if (fin_end_ > 0 && rcv_next_ >= fin_end_) {
         done_ = true;
-        rsim_.cancel(probe_timer_);
+        sim_.cancel(probe_timer_);
         return;
       }
       // Data progress reopens the solicitation window.
@@ -293,7 +293,7 @@ void SirdConnection::receiver_on_packet(Packet&& p) {
 }
 
 void SirdConnection::arm_probe() {
-  probe_timer_ = rsim_.after(cfg_.probe_period, [this] { on_probe(); });
+  probe_timer_ = sim_.after(cfg_.probe_period, [this] { on_probe(); });
 }
 
 void SirdConnection::on_probe() {
@@ -320,10 +320,8 @@ void SirdConnection::on_probe() {
 }
 
 void SirdConnection::abort_flow(const std::string& why) {
-  // SIRD is serial-only (the parallel envelope rejects it): one thread owns
-  // both halves and the shared allocator, so teardown is atomic.
   sim_.cancel(request_timer_);
-  rsim_.cancel(probe_timer_);
+  sim_.cancel(probe_timer_);
   done_ = true;
   if (alloc_ != nullptr) alloc_->remove(this);
   fail_flow(why);

@@ -264,6 +264,30 @@ TEST(SpecJson, RejectsUnknownFlowGroupProtocol) {
   EXPECT_NE(err.find("smoke-signals"), std::string::npos) << err;
 }
 
+TEST(SpecJson, AcceptsSerialShardCounts) {
+  // Stored specs from before the sharded engine's removal may carry
+  // "shards": 0 or 1, both of which meant the serial engine.
+  const ScenarioSpec defaults;
+  for (const char* n : {"0", "1"}) {
+    std::string err;
+    auto spec = spec_from_json(
+        std::string(R"({"schema":"xpass.scenario.v1","shards":)") + n + "}",
+        &err);
+    ASSERT_TRUE(spec.has_value()) << "shards " << n << ": " << err;
+    expect_same_spec(*spec, defaults);
+    EXPECT_EQ(spec_to_json(*spec).find("shards"), std::string::npos);
+  }
+}
+
+TEST(SpecJson, RejectsShardedSpecs) {
+  std::string err;
+  EXPECT_FALSE(
+      spec_from_json(R"({"schema":"xpass.scenario.v1","shards":4})", &err)
+          .has_value());
+  EXPECT_NE(err.find("shards"), std::string::npos) << err;
+  EXPECT_NE(err.find("sharded engine was removed"), std::string::npos) << err;
+}
+
 TEST(SpecJson, TimesSurviveAsExactPicoseconds) {
   ScenarioSpec spec;
   spec.base_rtt = Time::ps(123456789);

@@ -3,7 +3,6 @@
 
 Usage: check_bench_regression.py <committed_core.json> <fresh_core.json>
        [--threshold 0.20] [--hotpath <fresh_hotpath.json>]
-       [--parallel <fresh_parallel.json>]
 
 Compares the *speedup_vs_seed* ratios for schedule_fire and churn, not the
 absolute ops/sec: the committed baseline was measured on the maintainer's
@@ -23,14 +22,6 @@ exactly on any hardware:
     state never touches the allocator; skipped if the probe was stubbed out)
   - wheel_vs_heap.identical_trajectory (hybrid and heap-only backends fired
     the same event sequence)
-
-With --parallel, gates a fresh BENCH_parallel.json from bench_parallel:
-  - identical_rerun and shards1_matches_serial (byte-identity of recorder
-    output across two runs at the same shard count / between --shards=1 and
-    the serial core) — count-based, gated on any hardware
-  - efficiency >= 0.5 at max_shards — gated only when the runner actually
-    had cores >= max_shards; a 1-core CI box cannot measure wall-clock
-    scaling, so the check is skipped (and says so) there
 """
 import argparse
 import json
@@ -44,9 +35,6 @@ def main() -> int:
     ap.add_argument("--threshold", type=float, default=0.20)
     ap.add_argument("--hotpath", help="fresh BENCH_hotpath.json to gate "
                     "count-based hot-path invariants on")
-    ap.add_argument("--parallel", help="fresh BENCH_parallel.json to gate "
-                    "sharded-core determinism (and, with enough cores, "
-                    "parallel efficiency) on")
     args = ap.parse_args()
 
     with open(args.committed) as f:
@@ -96,31 +84,6 @@ def main() -> int:
               f"{'OK' if identical else 'REGRESSION'}")
         if not identical:
             failures.append("wheel_vs_heap.identical_trajectory")
-
-    if args.parallel:
-        with open(args.parallel) as f:
-            par = json.load(f)
-
-        for key in ("identical_rerun", "shards1_matches_serial"):
-            ok = par[key] is True
-            print(f"parallel       {key}: {par[key]} "
-                  f"{'OK' if ok else 'REGRESSION'}")
-            if not ok:
-                failures.append(f"parallel.{key}")
-
-        cores = par.get("cores", 0)
-        max_shards = par.get("max_shards", 0)
-        if cores >= max_shards > 0:
-            eff = par["efficiency"]
-            ok = eff >= 0.5
-            print(f"parallel       efficiency at {max_shards} shards: "
-                  f"{eff:.2f} {'OK' if ok else 'REGRESSION (< 0.5)'}")
-            if not ok:
-                failures.append("parallel.efficiency")
-        else:
-            print(f"parallel       efficiency: skipped "
-                  f"({cores} cores < {max_shards} shards — wall-clock "
-                  f"scaling not measurable on this runner)")
 
     if failures:
         print(f"FAIL: {', '.join(failures)} regressed vs the committed "

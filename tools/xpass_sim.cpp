@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "exec/campaign.hpp"
@@ -69,10 +70,6 @@ struct Options {
   // run order whatever the thread count.
   size_t runs = 1;
   size_t jobs = 0;  // 0 = XPASS_JOBS / hardware concurrency
-  // --shards=N: run each scenario on the sharded parallel event core with N
-  // worker threads (0/1 = serial core). run_grid / campaign mode divide
-  // --jobs by the shard count so total threads stay bounded.
-  size_t shards = 0;
   // --json=PATH: also emit the run's recorder (every scalar plus any series
   // probes) as JSON. With --runs=M, run i writes PATH.i.
   std::string json_path;
@@ -94,7 +91,7 @@ constexpr const char* kUsage =
     "  [--workload=websearch|webserver|cachefollower|datamining]\n"
     "  [--pairs=N] [--k=N] [--flows=N] [--incast=N] [--bytes=N|long]\n"
     "  [--load=F] [--rate-gbps=F] [--duration-ms=F] [--seed=N]\n"
-    "  [--spraying] [--runs=M] [--jobs=N] [--shards=N] [--json=PATH]\n"
+    "  [--spraying] [--runs=M] [--jobs=N] [--json=PATH]\n"
     "  coexistence (mixed-protocol flow groups; pairwise mode only):\n"
     "  [--cross=PROTO] [--cross-flows=N] [--cross-onoff]\n"
     "  [--onoff-period-ms=F] [--onoff-duty=F] [--link-jitter-us=F]\n"
@@ -138,7 +135,6 @@ Options parse(int argc, char** argv) {
   o.seed = args.u64("seed", o.seed);
   o.runs = args.runs();
   o.jobs = args.jobs();
-  o.shards = args.shards();
   o.spraying = args.flag("spraying");
   if (auto v = args.str("cross")) o.cross = *v;
   o.cross_flows = args.u64("cross-flows", o.cross_flows);
@@ -270,7 +266,6 @@ runner::ScenarioSpec make_spec(const Options& o, uint64_t seed) {
   s.faults.errors = o.errors;
   s.fault_seed = o.fault_seed;
   s.check_invariants = o.check_invariants;
-  s.shards = o.shards;
   return s;
 }
 
@@ -377,13 +372,6 @@ int run_campaign_mode(const Options& o,
   copts.retries = o.retries;
   copts.timeout_ms = o.timeout_ms;
   copts.jobs = o.jobs;
-  if (o.shards > 1) {
-    // Each task spins up `shards` worker threads of its own; divide the
-    // task-level parallelism so total threads stay near the core count
-    // (mirrors ScenarioEngine::run_grid's clamp).
-    const size_t j = o.jobs == 0 ? exec::default_jobs() : o.jobs;
-    copts.jobs = std::max<size_t>(1, j / o.shards);
-  }
   copts.seed = o.seed;
   const exec::CampaignReport report = exec::run_campaign(grid, copts);
 
@@ -425,10 +413,7 @@ int run_campaign_mode(const Options& o,
   return report.all_usable() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+int run_cli(const Options& o) {
   // Validate name-valued options once, up front.
   if (!runner::parse_protocol(o.protocol)) usage("unknown protocol");
   if (o.topology != "dumbbell" && o.topology != "star" &&
@@ -490,4 +475,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options o = parse(argc, argv);
+  // Spec validation and the engine reject unsupported option combinations
+  // (e.g. a --cross protocol that cannot share the fabric) by throwing.
+  try {
+    return run_cli(o);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }
