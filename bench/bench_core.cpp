@@ -1,111 +1,43 @@
 // Event-core performance baseline: measures schedule/cancel/fire throughput
-// of sim::EventQueue against an embedded copy of the seed implementation
-// (std::function callbacks, std::priority_queue, tombstone set), plus
-// end-to-end events/sec on the Fig-15 flow-scalability scenario, and emits
-// the results as BENCH_core.json (schema documented in EXPERIMENTS.md).
+// of sim::EventQueue against the seed implementation (std::function
+// callbacks, std::priority_queue, tombstone set; bench/seed_event_queue.hpp),
+// plus end-to-end events/sec on the Fig-15 flow-scalability scenario, and
+// emits the results as BENCH_core.json (schema documented in EXPERIMENTS.md).
 //
 // It also emits BENCH_hotpath.json: per-packet-hop event accounting for the
-// fig15 scenario in both port event modes (legacy tx-done events vs the
-// coalesced self-scheduling port), the comparison against the committed
+// fig15 scenario (events, packet hops, kicks, shaper retries, wheel/heap
+// routing, steady-state allocations), the comparison against the committed
 // baseline throughput, and the 12-point scalability sweep timed at
 // --jobs 1 vs --jobs N with a byte-identity check on the reduced rows.
 //
 // This seeds the repo's perf trajectory: later PRs compare their committed
 // BENCH_core.json against this one. Usage:
 //
-//   bench_core [core.json] [hotpath.json] [--ops=N] [--sweep-jobs=N]
-//              [--no-sweep]
+//   bench_core [core.json] [hotpath.json] [--ops=N] [--repeats=N]
+//              [--sweep-jobs=N] [--no-sweep]
 //
-// Defaults: ./BENCH_core.json ./BENCH_hotpath.json, ops = 2^21, sweep-jobs
-// = hardware concurrency. --ops shrinks the microbenches for CI smoke runs
-// (the committed JSONs must be regenerated with the default).
+// Defaults: ./BENCH_core.json ./BENCH_hotpath.json, ops = 2^21, repeats = 3,
+// sweep-jobs = hardware concurrency. --ops shrinks the microbenches for CI
+// smoke runs (the committed JSONs must be regenerated with the default).
+// Both output files are opened before any benchmarking, so a bad path or
+// flag fails at once.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <functional>
-#include <queue>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "bench/alloc_probe.hpp"
 #include "bench/common.hpp"
+#include "bench/seed_event_queue.hpp"
 #include "net/topology_builders.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
 using namespace xpass;
+using bench::SeedEventQueue;
 using sim::Time;
-
-// ---- Seed event queue (verbatim behavior of the pre-rebuild core) --------
-// Kept here, not in src/: it exists only so the speedup in BENCH_core.json
-// is measured in-binary under identical compiler flags, not against a stale
-// recorded number.
-
-class SeedEventQueue {
- public:
-  struct TimerId {
-    uint64_t id = 0;
-    bool valid() const { return id != 0; }
-  };
-
-  TimerId schedule(Time t, std::function<void()> cb) {
-    const uint64_t seq = next_seq_++;
-    heap_.push(Entry{t, seq, std::move(cb)});
-    ++live_count_;
-    return TimerId{seq};
-  }
-
-  void cancel(TimerId id) {
-    if (!id.valid()) return;
-    cancelled_.insert(id.id);  // may have already fired: leaks forever
-  }
-
-  Time now() const { return now_; }
-
-  bool step() {
-    while (!heap_.empty()) {
-      Entry e = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      auto it = cancelled_.find(e.seq);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        if (live_count_ > 0) --live_count_;
-        continue;
-      }
-      now_ = e.t;
-      if (live_count_ > 0) --live_count_;
-      e.cb();
-      return true;
-    }
-    return false;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  size_t tombstones() const { return cancelled_.size(); }
-
- private:
-  struct Entry {
-    Time t;
-    uint64_t seq;
-    std::function<void()> cb;
-    bool operator>(const Entry& o) const {
-      if (t != o.t) return t > o.t;
-      return seq > o.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_set<uint64_t> cancelled_;
-  Time now_;
-  uint64_t next_seq_ = 1;
-  size_t live_count_ = 0;
-};
 
 // ---- Microbenchmarks -----------------------------------------------------
 
@@ -207,21 +139,12 @@ struct ScenarioResult {
   double goodput_gbps;
 };
 
-// `legacy` selects the pre-coalescing port event pattern (a serializer-done
-// event per transmission) so the event diet is measurable in-binary on the
-// identical trajectory; the two modes deliver the same packets at the same
-// times. `backend` selects the event-queue backend (hybrid timing wheel vs
-// heap-only) for the in-binary wheel comparison — the two must fire the
-// identical event sequence.
-ScenarioResult bench_fig15(size_t n_flows, bool legacy,
-                           sim::EventQueue::Backend backend =
-                               sim::EventQueue::Backend::kHybrid) {
+ScenarioResult bench_fig15(size_t n_flows) {
   const double t0 = now_sec();
-  sim::Simulator sim(29, backend);
+  sim::Simulator sim(29);
   net::Topology topo(sim);
   auto link = runner::protocol_link_config(
       runner::Protocol::kExpressPass, 10e9, Time::us(1));
-  link.legacy_tx_events = legacy;
   auto d = net::build_dumbbell(topo, n_flows, link, link);
   auto t = runner::make_transport(runner::Protocol::kExpressPass, sim, topo,
                                   Time::us(100));
@@ -263,80 +186,6 @@ ScenarioResult bench_fig15(size_t n_flows, bool legacy,
   r.events_per_sec = static_cast<double>(r.events_fired) / r.wall_sec;
   r.events_per_hop = static_cast<double>(r.events_fired) /
                      static_cast<double>(r.packet_hops);
-  r.goodput_gbps = sum / 1e9;
-  return r;
-}
-
-// ---- Multi-hop chain with train delivery: the sub-event-per-hop row ------
-//
-// fig15's dumbbell can never honestly go below one event per packet-hop:
-// every packet crosses only two links, so per-packet transport work (credit
-// handling, pacing timers) amortizes over almost nothing. A parking-lot
-// chain pushes one long flow across n_links+2 store-and-forward hops with
-// train delivery on every link: deliveries coalesce into one drain per
-// window and backlogged data transmits in serializer bursts, so the
-// events/packet-hop ratio drops below 1 — the metric BENCH_hotpath gates.
-
-struct ChainResult {
-  size_t links;
-  uint64_t events_fired;
-  uint64_t packet_hops;
-  uint64_t train_events;
-  uint64_t train_frames;
-  uint64_t hot_path_allocs;
-  double wall_sec;
-  double events_per_hop;
-  double coalesce_factor;  // frames delivered per drain event
-  double goodput_gbps;
-};
-
-ChainResult bench_chain(size_t n_links) {
-  const double t0 = now_sec();
-  sim::Simulator sim(29);
-  net::Topology topo(sim);
-  auto link = runner::protocol_link_config(
-      runner::Protocol::kExpressPass, 10e9, Time::us(1));
-  link.train_window = Time::us(10);  // ~8 full-MTU serializations at 10G
-  auto pl = net::build_parking_lot(topo, n_links, link, link);
-  auto t = runner::make_transport(runner::Protocol::kExpressPass, sim, topo,
-                                  Time::us(100));
-  runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  driver.add(fb.make(pl.long_src, pl.long_dst, transport::kLongRunning,
-                     Time::zero()));
-  const Time warmup = Time::ms(20);
-  const Time window = Time::ms(50);
-  sim.run_until(warmup);
-  driver.rates().snapshot_rates(warmup);
-  const auto alloc_mark = bench::AllocProbe::mark();
-  sim.run_until(warmup + window);
-  const uint64_t allocs = bench::AllocProbe::since(alloc_mark).allocs;
-  auto rates = driver.rates().snapshot_rates(window);
-  double sum = 0;
-  for (double x : rates) sum += x;
-  ChainResult r;
-  r.links = n_links;
-  r.events_fired = sim.events().fired();
-  r.packet_hops = 0;
-  r.train_events = 0;
-  r.train_frames = 0;
-  for (size_t n = 0; n < topo.num_nodes(); ++n) {
-    net::Node& node = topo.node(static_cast<net::NodeId>(n));
-    for (size_t i = 0; i < node.num_ports(); ++i) {
-      r.packet_hops += node.port(i).tx_packets();
-      r.train_events += node.port(i).train_events();
-      r.train_frames += node.port(i).train_frames();
-    }
-  }
-  r.hot_path_allocs = allocs;
-  driver.stop_all();
-  r.wall_sec = now_sec() - t0;
-  r.events_per_hop = static_cast<double>(r.events_fired) /
-                     static_cast<double>(r.packet_hops);
-  r.coalesce_factor = r.train_events == 0
-                          ? 0.0
-                          : static_cast<double>(r.train_frames) /
-                                static_cast<double>(r.train_events);
   r.goodput_gbps = sum / 1e9;
   return r;
 }
@@ -427,8 +276,6 @@ SweepResult bench_sweep(size_t jobs) {
   return s;
 }
 
-}  // namespace
-
 // Best-of-3: microbench numbers gate later PRs, so shield them from
 // one-off scheduler noise.
 template <typename F>
@@ -437,8 +284,6 @@ double best_of_3(F f) {
   for (int i = 0; i < 3; ++i) best = std::max(best, f());
   return best;
 }
-
-namespace {
 
 // Committed-baseline fig15 throughput from BENCH_core.json at the event-core
 // rebuild (PR 1). The hotpath report compares against these constants so the
@@ -452,36 +297,43 @@ constexpr uint64_t kBaselineEvents256 = 5069478;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* core_path = "BENCH_core.json";
-  const char* hotpath_path = "BENCH_hotpath.json";
-  size_t sweep_jobs = xpass::exec::default_jobs();
-  bool run_sweep = true;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-      const long v = std::strtol(argv[i] + 6, nullptr, 10);
-      if (v >= 1) g_ops = static_cast<size_t>(v);
-    } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      // Scenario timings take the min over N runs; the trajectory is
-      // deterministic, so more repeats only sharpen the wall-clock estimate
-      // on a noisy (shared-core) host. Counts are identical either way.
-      const long v = std::strtol(argv[i] + 10, nullptr, 10);
-      if (v >= 1) g_scenario_repeats = static_cast<size_t>(v);
-    } else if (std::strncmp(argv[i], "--sweep-jobs=", 13) == 0) {
-      const long v = std::strtol(argv[i] + 13, nullptr, 10);
-      if (v >= 1) sweep_jobs = static_cast<size_t>(v);
-    } else if (std::strcmp(argv[i], "--no-sweep") == 0) {
-      run_sweep = false;
-    } else if (positional == 0) {
-      core_path = argv[i];
-      ++positional;
-    } else if (positional == 1) {
-      hotpath_path = argv[i];
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
-      return 2;
-    }
+  constexpr const char* kUsage =
+      "usage: bench_core [core.json] [hotpath.json] [--ops=N] [--repeats=N] "
+      "[--sweep-jobs=N] [--no-sweep]\n";
+  runner::Args args(argc, argv);
+  g_ops = args.u64("ops", g_ops);
+  // Scenario timings take the min over N runs; the trajectory is
+  // deterministic, so more repeats only sharpen the wall-clock estimate on
+  // a noisy (shared-core) host. Counts are identical either way.
+  g_scenario_repeats = args.u64("repeats", g_scenario_repeats);
+  const size_t sweep_jobs = args.u64("sweep-jobs", exec::default_jobs());
+  const bool run_sweep = !args.flag("no-sweep");
+  const std::vector<std::string>& positional = args.positional();
+  args.die_on_error(kUsage);
+  if (positional.size() > 2) {
+    std::fprintf(stderr, "unexpected argument: %s\n%s",
+                 positional[2].c_str(), kUsage);
+    return 2;
+  }
+  if (g_ops == 0 || g_scenario_repeats == 0 || sweep_jobs == 0) {
+    std::fprintf(stderr, "--ops, --repeats and --sweep-jobs must be >= 1\n%s",
+                 kUsage);
+    return 2;
+  }
+  const char* core_path =
+      positional.size() > 0 ? positional[0].c_str() : "BENCH_core.json";
+  const char* hotpath_path =
+      positional.size() > 1 ? positional[1].c_str() : "BENCH_hotpath.json";
+  FILE* f = std::fopen(core_path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", core_path);
+    return 1;
+  }
+  FILE* h = std::fopen(hotpath_path, "w");
+  if (h == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", hotpath_path);
+    std::fclose(f);
+    return 1;
   }
 
   std::printf("event-core microbenchmarks (%zu ops each, best of 3)...\n",
@@ -507,41 +359,23 @@ int main(int argc, char** argv) {
   // The scenario is deterministic — every repeat fires the identical event
   // sequence — so best-of-N only filters scheduler noise out of wall_sec,
   // exactly as for the microbenches above.
-  const auto best_fig15 = [](size_t flows, bool legacy_mode) {
-    ScenarioResult best = bench_fig15(flows, legacy_mode);
+  const auto best_fig15 = [](size_t flows) {
+    ScenarioResult best = bench_fig15(flows);
     for (size_t i = 1; i < g_scenario_repeats; ++i) {
-      ScenarioResult r = bench_fig15(flows, legacy_mode);
+      ScenarioResult r = bench_fig15(flows);
       if (r.wall_sec < best.wall_sec) best = r;
     }
     return best;
   };
-  const auto best_fig15_backend = [](size_t flows,
-                                     sim::EventQueue::Backend b) {
-    ScenarioResult best = bench_fig15(flows, false, b);
-    for (size_t i = 1; i < g_scenario_repeats; ++i) {
-      ScenarioResult r = bench_fig15(flows, false, b);
-      if (r.wall_sec < best.wall_sec) best = r;
-    }
-    return best;
-  };
-  std::vector<ScenarioResult> scen;     // coalesced ports (default)
-  std::vector<ScenarioResult> legacy;   // pre-diet tx-done event pattern
+  std::vector<ScenarioResult> scen;
   for (size_t flows : {64, 256}) {
-    scen.push_back(best_fig15(flows, /*legacy=*/false));
-    legacy.push_back(best_fig15(flows, /*legacy=*/true));
+    scen.push_back(best_fig15(flows));
     const ScenarioResult& r = scen.back();
-    const ScenarioResult& l = legacy.back();
     std::printf("  %4zu flows: %llu events in %.2fs -> %.2fM events/s, "
                 "%.2f ev/hop (goodput %.2fG)\n",
                 r.flows, static_cast<unsigned long long>(r.events_fired),
                 r.wall_sec, r.events_per_sec / 1e6, r.events_per_hop,
                 r.goodput_gbps);
-    std::printf("       legacy: %llu events in %.2fs -> %.2fM events/s, "
-                "%.2f ev/hop (%.1f%% fewer events coalesced)\n",
-                static_cast<unsigned long long>(l.events_fired), l.wall_sec,
-                l.events_per_sec / 1e6, l.events_per_hop,
-                100.0 * (1.0 - static_cast<double>(r.events_fired) /
-                                   static_cast<double>(l.events_fired)));
     std::printf("       breakdown: %llu kicks, %llu shaper retries, "
                 "%.1f%% wheel-routed, %llu hot-path allocs\n",
                 static_cast<unsigned long long>(r.kick_events),
@@ -550,34 +384,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(r.wheel_events + r.heap_events),
                 static_cast<unsigned long long>(r.hot_path_allocs));
   }
-
-  // In-binary wheel-vs-heap: the hybrid backend must fire the identical
-  // event sequence as the heap-only backend (the wheel is a pure scheduling
-  // structure swap), and not be slower.
-  std::printf("wheel-vs-heap backend comparison (fig15, 64 flows)...\n");
-  const ScenarioResult heap_only = best_fig15_backend(
-      64, sim::EventQueue::Backend::kHeapOnly);
-  const bool wheel_identical =
-      heap_only.events_fired == scen[0].events_fired &&
-      heap_only.packet_hops == scen[0].packet_hops &&
-      heap_only.goodput_gbps == scen[0].goodput_gbps;
-  std::printf("  hybrid %.2fs vs heap-only %.2fs (%.2fx); trajectories %s\n",
-              scen[0].wall_sec, heap_only.wall_sec,
-              heap_only.wall_sec / scen[0].wall_sec,
-              wheel_identical ? "identical" : "DIVERGED");
-
-  std::printf("multi-hop chain, train delivery (parking lot, 6 links)...\n");
-  ChainResult chain = bench_chain(6);
-  for (size_t i = 1; i < g_scenario_repeats; ++i) {
-    ChainResult c = bench_chain(6);
-    if (c.wall_sec < chain.wall_sec) chain = c;
-  }
-  std::printf("  %llu events / %llu hops = %.3f ev/hop, %.1f frames/drain, "
-              "goodput %.2fG, %llu hot-path allocs\n",
-              static_cast<unsigned long long>(chain.events_fired),
-              static_cast<unsigned long long>(chain.packet_hops),
-              chain.events_per_hop, chain.coalesce_factor, chain.goodput_gbps,
-              static_cast<unsigned long long>(chain.hot_path_allocs));
 
   std::printf("topology construction (fat tree build + routes, best of "
               "3)...\n");
@@ -601,11 +407,6 @@ int main(int argc, char** argv) {
                 sweep.identical_output ? "byte-identical" : "DIVERGED");
   }
 
-  FILE* f = std::fopen(core_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", core_path);
-    return 1;
-  }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"core\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
@@ -653,28 +454,20 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", core_path);
 
   // ---- BENCH_hotpath.json ------------------------------------------------
-  // Two speedup figures against the committed baseline, reported side by
-  // side because the event diet changes what "an event" means:
-  //  - raw = events_per_sec / baseline_eps. Understates the win: the diet
-  //    deleted the *cheapest* events (tx-done), so surviving events are
-  //    heavier on average.
-  //  - work_normalized = (legacy-pattern event count / new wall) /
-  //    baseline_eps. Holds the workload definition fixed at the pre-diet
-  //    event pattern, so it measures wall-clock progress on the same work.
-  FILE* h = std::fopen(hotpath_path, "w");
-  if (h == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", hotpath_path);
-    return 1;
-  }
+  // The work counters (events_fired, packet_hops, kicks, retries, wheel /
+  // heap routing) are exact on any hardware; CI gates them against the
+  // committed file. raw_speedup_vs_baseline = events_per_sec / the committed
+  // baseline's, and understates the wall-clock win: the port event diet
+  // deleted the *cheapest* events (tx-done), so surviving events are heavier
+  // on average.
   std::fprintf(h, "{\n");
   std::fprintf(h, "  \"bench\": \"hotpath\",\n");
-  std::fprintf(h, "  \"schema_version\": 2,\n");
+  std::fprintf(h, "  \"schema_version\": 3,\n");
   std::fprintf(h, "  \"alloc_probe_enabled\": %s,\n",
                bench::AllocProbe::enabled() ? "true" : "false");
   std::fprintf(h, "  \"fig15\": [\n");
   for (size_t i = 0; i < scen.size(); ++i) {
     const ScenarioResult& r = scen[i];
-    const ScenarioResult& l = legacy[i];
     const double baseline_eps = r.flows == 64 ? kBaselineEps64
                                               : kBaselineEps256;
     const uint64_t baseline_events =
@@ -699,44 +492,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r.heap_events));
     std::fprintf(h, "      \"hot_path_allocs\": %llu,\n",
                  static_cast<unsigned long long>(r.hot_path_allocs));
-    std::fprintf(h, "      \"legacy\": {\"events_fired\": %llu, "
-                    "\"wall_sec\": %.3f, \"events_per_sec\": %.0f, "
-                    "\"events_per_hop\": %.3f},\n",
-                 static_cast<unsigned long long>(l.events_fired), l.wall_sec,
-                 l.events_per_sec, l.events_per_hop);
-    std::fprintf(h, "      \"event_reduction_vs_legacy\": %.3f,\n",
-                 1.0 - static_cast<double>(r.events_fired) /
-                           static_cast<double>(l.events_fired));
     std::fprintf(h, "      \"committed_baseline\": {\"events_fired\": %llu, "
                     "\"events_per_sec\": %.0f},\n",
                  static_cast<unsigned long long>(baseline_events),
                  baseline_eps);
-    std::fprintf(h, "      \"raw_speedup_vs_baseline\": %.3f,\n",
+    std::fprintf(h, "      \"raw_speedup_vs_baseline\": %.3f\n",
                  r.events_per_sec / baseline_eps);
-    std::fprintf(h, "      \"work_normalized_speedup_vs_baseline\": %.3f\n",
-                 (static_cast<double>(l.events_fired) / r.wall_sec) /
-                     baseline_eps);
     std::fprintf(h, "    }%s\n", i + 1 < scen.size() ? "," : "");
   }
   std::fprintf(h, "  ],\n");
-  std::fprintf(h, "  \"wheel_vs_heap\": {\"flows\": 64, "
-                  "\"wall_hybrid_sec\": %.3f, \"wall_heap_sec\": %.3f, "
-                  "\"identical_trajectory\": %s},\n",
-               scen[0].wall_sec, heap_only.wall_sec,
-               wheel_identical ? "true" : "false");
-  std::fprintf(h, "  \"chain\": {\"links\": %zu, \"events_fired\": %llu, "
-                  "\"packet_hops\": %llu, \"events_per_hop\": %.3f, "
-                  "\"train_events\": %llu, \"train_frames\": %llu, "
-                  "\"coalesce_factor\": %.2f, \"goodput_gbps\": %.2f, "
-                  "\"hot_path_allocs\": %llu},\n",
-               chain.links,
-               static_cast<unsigned long long>(chain.events_fired),
-               static_cast<unsigned long long>(chain.packet_hops),
-               chain.events_per_hop,
-               static_cast<unsigned long long>(chain.train_events),
-               static_cast<unsigned long long>(chain.train_frames),
-               chain.coalesce_factor, chain.goodput_gbps,
-               static_cast<unsigned long long>(chain.hot_path_allocs));
   if (run_sweep) {
     std::fprintf(h, "  \"sweep\": {\"points\": %zu, \"jobs\": %zu, "
                     "\"wall_jobs1_sec\": %.3f, \"wall_jobsN_sec\": %.3f, "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "net/node.hpp"
@@ -42,12 +41,6 @@ Port::Port(sim::Simulator& sim, Node& owner, LinkConfig cfg)
       class_served_(class_weights_.size(), 0.0),
       credit_shaper_(cfg.rate_bps / 8.0 * cfg.credit_rate_fraction,
                      cfg.credit_burst_bytes) {
-  if (cfg_.prop_jitter > sim::Time::zero() &&
-      cfg_.train_window > sim::Time::zero()) {
-    throw std::invalid_argument(
-        "LinkConfig: prop_jitter is incompatible with train_window (the "
-        "train FIFO assumes monotonic wire arrivals)");
-  }
   for (size_t i = 0; i < class_weights_.size(); ++i) {
     credit_qs_.emplace_back(cfg.credit_queue_pkts);
   }
@@ -217,8 +210,7 @@ void Port::try_transmit() {
   const sim::Time now = sim_.now();
   if (now < free_at_) {
     // Serializer busy. Every caller that can add work lands here; arm the
-    // wakeup at serializer-free time once (the legacy path armed it
-    // unconditionally at transmission start).
+    // wakeup at serializer-free time once.
     if (work_queued()) schedule_kick();
     return;
   }
@@ -261,69 +253,10 @@ void Port::try_transmit() {
   const sim::Time tx = sim::tx_time(pkt.wire_bytes, cfg_.rate_bps);
   free_at_ = now + tx;
   assert(peer_ != nullptr && "port not connected");
-  if (cfg_.train_window > sim::Time::zero()) {
-    // Train mode: park the frame on the wire FIFO; one drain event per
-    // train delivers every frame whose arrival falls inside the window.
-    wire_fifo_.push_back(WireFrame{free_at_ + cfg_.prop_delay,
-                                   PacketRef(std::move(pkt))});
-    // Burst service: when no credit is contending for the serializer, the
-    // rest of the data backlog transmits in this same event — each frame's
-    // wire arrival stays exact (free_at_ advances per frame), but the
-    // per-frame serializer-done kicks vanish. Without this, coalescing
-    // deliveries just converts delivery events into kick events one-for-one
-    // on backlogged ports. (Approximation: a credit arriving mid-burst
-    // window waits out the burst instead of preempting between frames.)
-    if (pick_credit_class() == SIZE_MAX) {
-      while (data_q_.serviceable() && !data_paused()) {
-        Packet d = data_q_.dequeue(now);
-        ++tx_packets_;
-        tx_bytes_ += d.wire_bytes;
-        tx_data_bytes_ += d.wire_bytes;
-        check_pfc();
-        if (cfg_.hop_backpressure) check_flow_bp(d.flow);
-        free_at_ = free_at_ + sim::tx_time(d.wire_bytes, cfg_.rate_bps);
-        wire_fifo_.push_back(WireFrame{free_at_ + cfg_.prop_delay,
-                                       PacketRef(std::move(d))});
-      }
-    } else if (!data_q_.serviceable()) {
-      // Credit-only burst (the reverse path of a chain): serve the whole
-      // shaped backlog in this event by computing each credit's exact token
-      // departure analytically. Arrivals on the wire are identical to the
-      // retry-per-credit schedule — time_until rounds up, so the consume at
-      // the computed instant always succeeds — but a backlog of k credits
-      // costs one event instead of k retries. WFQ interleaving is preserved
-      // (class selection re-runs per credit against the updated deficits).
-      sim::Time depart = free_at_;
-      size_t bcls;
-      while ((bcls = pick_credit_class()) != SIZE_MAX) {
-        const double bcost = credit_cost(bcls);
-        if (shape_credits_) {
-          const sim::Time wait = credit_shaper_.time_until(bcost, depart);
-          if (wait == TokenBucket::kNever) break;
-          depart = depart + wait;
-          if (!credit_shaper_.try_consume(bcost, depart)) break;
-        }
-        Packet c = credit_qs_[bcls].dequeue(now);
-        class_served_[bcls] += c.wire_bytes;
-        rebase_credit_accumulators();
-        ++tx_credits_;
-        ++tx_packets_;
-        tx_bytes_ += c.wire_bytes;
-        free_at_ = depart + sim::tx_time(c.wire_bytes, cfg_.rate_bps);
-        depart = free_at_;
-        wire_fifo_.push_back(WireFrame{free_at_ + cfg_.prop_delay,
-                                       PacketRef(std::move(c))});
-      }
-    }
-    if (cfg_.legacy_tx_events || work_queued()) schedule_kick();
-    schedule_train_drain();
-    return;
-  }
   // One event per transmission: the delivery at tx+prop. A serializer-done
   // kick is added only when something is already waiting to be served then
-  // (scheduled before the delivery, preserving the legacy event order for
-  // same-timestamp ties).
-  if (cfg_.legacy_tx_events || work_queued()) schedule_kick();
+  // (scheduled before the delivery, so a same-timestamp kick fires first).
+  if (work_queued()) schedule_kick();
   // The packet rides the wire in a pool slot: the capture is [this + one
   // pointer], which stays inside the event queue's inline callback buffer
   // (a by-value Packet capture would spill to the allocator every hop).
@@ -336,28 +269,6 @@ void Port::try_transmit() {
              [this, r = PacketRef(std::move(pkt))]() mutable {
                deliver_to_peer(std::move(*r));
              });
-}
-
-void Port::schedule_train_drain() {
-  if (train_pending_ || wire_fifo_.empty()) return;
-  train_pending_ = true;
-  sim_.at(wire_fifo_.front().arrival + cfg_.train_window,
-          [this] { drain_train(); });
-}
-
-void Port::drain_train() {
-  train_pending_ = false;
-  ++train_events_;
-  const sim::Time now = sim_.now();
-  // Deliver in arrival order, but only frames that have truly reached the
-  // peer by now — a train longer than the window leaves its tail for the
-  // next drain, so no frame is ever delivered before its wire arrival.
-  while (!wire_fifo_.empty() && wire_fifo_.front().arrival <= now) {
-    WireFrame f = wire_fifo_.pop_front();
-    ++train_frames_;
-    deliver_to_peer(std::move(*f.pkt));
-  }
-  schedule_train_drain();
 }
 
 void Port::deliver_to_peer(Packet&& p) {

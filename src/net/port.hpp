@@ -18,7 +18,6 @@
 #include "net/link_error.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
-#include "net/ring_buffer.hpp"
 #include "net/token_bucket.hpp"
 #include "sim/simulator.hpp"
 
@@ -109,34 +108,13 @@ struct LinkConfig {
   // rebase is behavior-neutral while keeping the values far below the
   // quantization cliff. (Tests shrink it to exercise the path.)
   double wfq_rebase_bytes = 1.1e12;  // ~1 TB served, hours of sim time
-  // Train delivery coalescing. When > 0, back-to-back frames on this link
-  // share delivery events: each frame's wire arrival is queued in a per-port
-  // FIFO and a single drain event — scheduled `train_window` after the
-  // oldest undelivered arrival — hands every frame that has arrived by then
-  // to the peer, in arrival order. A saturated link delivers a whole
-  // serializer train per event instead of one frame each, which is what
-  // pushes multi-hop scenarios below one event per packet-hop. This is an
-  // *approximation*: a frame's delivery is deferred by up to train_window
-  // past its true arrival instant (choose it well under the RTT scales that
-  // matter — a few frame times). Zero = exact per-frame delivery (default;
-  // all golden scenarios run exact).
-  sim::Time train_window = sim::Time::zero();
-  // Per-packet propagation jitter: each exact-mode delivery adds
-  // U(0, prop_jitter) to prop_delay, drawn from the simulator RNG. Models
-  // wifi-style variable last hops / late-comer real-time scenarios; note a
-  // draw wider than one serialization time can reorder packets on the wire
-  // (which is the point — reactive stacks must ride out the dup-ACKs).
-  // Zero (default) draws nothing, keeping legacy runs byte-identical.
-  // Incompatible with train_window (the train FIFO assumes monotonic
-  // arrivals) — the Port constructor rejects the combination.
+  // Per-packet propagation jitter: each delivery adds U(0, prop_jitter) to
+  // prop_delay, drawn from the simulator RNG. Models wifi-style variable
+  // last hops / late-comer real-time scenarios; note a draw wider than one
+  // serialization time can reorder packets on the wire (which is the point
+  // — reactive stacks must ride out the dup-ACKs). Zero (default) draws
+  // nothing, keeping unjittered runs byte-identical.
   sim::Time prop_jitter = sim::Time::zero();
-  // Pre-coalescing event pattern: schedule a serializer-done wakeup for
-  // every transmission, even when nothing is waiting to follow it. The
-  // default self-scheduling path skips that event whenever the port's
-  // queues are empty at transmission start (the common case off the
-  // bottleneck), halving the event count on those hops. Kept as an option
-  // so tests can prove the two paths produce identical traces.
-  bool legacy_tx_events = false;
 };
 
 // Per-port RCP state (enabled only for RCP runs). Implements the classic
@@ -187,10 +165,6 @@ class Port {
   // serializer-free service wakeups and shaper token-wait retries fired.
   uint64_t kick_events() const { return kick_events_; }
   uint64_t retry_events() const { return retry_events_; }
-  // Train-mode drain events fired and frames they delivered (frames per
-  // drain is the coalescing factor; zero/zero in exact mode).
-  uint64_t train_events() const { return train_events_; }
-  uint64_t train_frames() const { return train_frames_; }
 
   // PFC: pause/unpause *data* transmission out of this port (credits and
   // control packets keep flowing — they are a different priority class).
@@ -251,10 +225,6 @@ class Port {
   // Runs at wire-arrival time: applies link failure / error-model fate,
   // then hands the frame to the peer's owner.
   void deliver_to_peer(Packet&& p);
-  // Train mode: arm the single outstanding drain event (at the oldest
-  // queued arrival + train_window), and the drain itself.
-  void schedule_train_drain();
-  void drain_train();
   void rcp_update();
   // PFC threshold checks on this egress queue; pauses/resumes the owning
   // switch's ingress links.
@@ -296,19 +266,8 @@ class Port {
   // Serializer state machine: the port is busy until free_at_. Instead of
   // an unconditional tx-done event per transmission, a single delivery
   // event is scheduled at tx+prop, and a service "kick" at free_at_ only
-  // when queued work will actually be waiting there (self-scheduling; see
-  // LinkConfig::legacy_tx_events).
+  // when queued work will actually be waiting there (self-scheduling).
   sim::Time free_at_;
-  // Train mode: frames on the wire awaiting the coalesced drain event. Each
-  // entry records its true wire-arrival instant; the drain only delivers
-  // frames whose arrival has passed, so causality holds even when a train
-  // outlasts its window.
-  struct WireFrame {
-    sim::Time arrival;
-    PacketRef pkt;
-  };
-  RingBuffer<WireFrame> wire_fifo_;
-  bool train_pending_ = false;
   bool kick_pending_ = false;
   bool retry_pending_ = false;
   uint32_t pause_count_ = 0;
@@ -340,8 +299,6 @@ class Port {
   uint64_t tx_credits_ = 0;
   uint64_t kick_events_ = 0;
   uint64_t retry_events_ = 0;
-  uint64_t train_events_ = 0;
-  uint64_t train_frames_ = 0;
 };
 
 }  // namespace xpass::net

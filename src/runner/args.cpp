@@ -1,5 +1,6 @@
 #include "runner/args.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -39,6 +40,7 @@ Args::Args(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--", 0) != 0 || arg == "--") {
       positional_.emplace_back(arg);
+      positional_at_.push_back(i);
       continue;
     }
     Entry e;
@@ -53,7 +55,7 @@ Args::Args(int argc, char** argv) {
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         e.value = std::string(argv[i + 1]);
         e.value_is_next = true;
-        ++i;
+        e.value_at = ++i;
       }
     }
     entries_.push_back(std::move(e));
@@ -175,13 +177,17 @@ size_t Args::retries() { return static_cast<size_t>(u64("retries", 0)); }
 
 // Queried boolean switches written as `--switch value` captured a trailing
 // token speculatively; once all queries have run, give unconsumed ones back
-// to the positional list (in their original relative order at the tail).
+// to the positional list at their original argv position.
 void Args::finalize() {
   if (finalized_) return;
   finalized_ = true;
   for (Entry& e : entries_) {
     if (e.consumed && e.value_is_next && e.value && !e.value_consumed) {
-      positional_.push_back(*e.value);
+      const auto at = std::upper_bound(positional_at_.begin(),
+                                       positional_at_.end(), e.value_at);
+      positional_.insert(positional_.begin() + (at - positional_at_.begin()),
+                         *e.value);
+      positional_at_.insert(at, e.value_at);
       e.value.reset();
     }
   }

@@ -67,7 +67,8 @@ class Args {
   void die_on_error(const char* usage);
 
   // Non-flag arguments, plus any `--switch value` trailing token that a
-  // boolean flag() query released. Call after all flag queries.
+  // boolean flag() query released, in argv order. Call after all flag
+  // queries.
   const std::vector<std::string>& positional();
 
  private:
@@ -75,6 +76,7 @@ class Args {
     std::string name;           // without leading --
     std::optional<std::string> value;  // from =value or the next argv
     bool value_is_next = false;  // value came from the following argv slot
+    int value_at = 0;            // that slot's argv index
     bool consumed = false;
     bool value_consumed = false;
   };
@@ -85,6 +87,7 @@ class Args {
 
   std::vector<Entry> entries_;
   std::vector<std::string> positional_;
+  std::vector<int> positional_at_;  // argv index of each positional_ entry
   std::vector<std::string> errors_;
   bool finalized_ = false;
 };

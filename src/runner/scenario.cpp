@@ -305,15 +305,162 @@ void validate_flow_groups(const ScenarioSpec& spec) {
 // relabels only that group).
 constexpr uint32_t kGroupSaltStride = 1u << 20;
 
-// Everything after the run loop: final sweeps, scalar extraction, recorder
-// mirroring, teardown.
-ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
-                          net::Topology& topo, const Built& b,
-                          FlowDriver& driver, sim::InvariantChecker& checker,
-                          net::FaultInjector& injector, sim::FaultPlan& plan,
-                          bool has_faults, stats::Recorder& rec,
-                          std::vector<std::pair<uint32_t, double>> rate_pairs,
-                          uint64_t tx_before, bool completion_result) {
+}  // namespace
+
+ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
+                                   const RunOverrides& overrides) const {
+  sim::Simulator sim(spec.seed);
+  // Merge the spec's budget with caller-side enforcement: the override's
+  // wall-clock leash tightens (never loosens) whatever the spec declares.
+  {
+    sim::RunBudget budget = spec.budget.value_or(sim::RunBudget{});
+    if (overrides.wall_clock_ms > 0 && (budget.max_wall_ms <= 0 ||
+                                        overrides.wall_clock_ms <
+                                            budget.max_wall_ms)) {
+      budget.max_wall_ms = overrides.wall_clock_ms;
+    }
+    if (budget.any()) sim.set_budget(budget);
+  }
+  net::Topology topo(sim);
+
+  const TopologySpec& ts = spec.topology;
+  const double fabric_rate =
+      ts.fabric_rate_bps > 0 ? ts.fabric_rate_bps : ts.host_rate_bps;
+  const sim::Time fabric_prop =
+      ts.fabric_prop > sim::Time::zero() ? ts.fabric_prop : ts.host_prop;
+  Built b = build_network(spec, topo, fabric_rate, fabric_prop);
+
+  auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
+                                  spec.xp ? &*spec.xp : nullptr);
+  FlowDriver driver(sim, *transport);
+  // Group transports must outlive the driver's connections; declared after
+  // `transport` so they tear down first (connections are stopped explicitly
+  // at the end of run, before anything is destroyed).
+  std::vector<std::unique_ptr<transport::Transport>> group_transports;
+  if (spec.flow_groups.empty()) {
+    add_traffic(spec, b, sim, driver, fabric_rate);
+  } else {
+    validate_flow_groups(spec);
+    for (size_t g = 0; g < spec.flow_groups.size(); ++g) {
+      const FlowGroupSpec& fg = spec.flow_groups[g];
+      transport::Transport* t = transport.get();
+      if (fg.protocol != spec.protocol) {
+        group_transports.push_back(make_transport(
+            fg.protocol, sim, topo, spec.base_rtt,
+            is_expresspass(fg.protocol) && spec.xp ? &*spec.xp : nullptr));
+        t = group_transports.back().get();
+      }
+      TrafficSpec tr = fg.traffic;
+      tr.flow_id_salt += static_cast<uint32_t>(g) * kGroupSaltStride;
+      add_traffic(spec, tr, b, sim, driver, fabric_rate, t, g);
+    }
+  }
+
+  // Faults target the first switch--switch link, falling back to the first
+  // link for single-switch topologies.
+  sim::FaultPlan plan(spec.fault_seed);
+  net::FaultInjector injector(topo, plan);
+  const bool has_faults = spec.faults.any();
+  if (has_faults) {
+    const net::Topology::LinkRec* target = nullptr;
+    for (const auto& l : topo.links()) {
+      if (topo.node(l.a).kind() == net::Node::Kind::kSwitch &&
+          topo.node(l.b).kind() == net::Node::Kind::kSwitch) {
+        target = &l;
+        break;
+      }
+    }
+    if (target == nullptr && !topo.links().empty()) {
+      target = &topo.links().front();
+    }
+    if (target != nullptr) {
+      apply_fault_scenario(spec.faults, injector, topo.node(target->a),
+                           topo.node(target->b));
+      plan.arm(sim);
+    }
+  }
+
+  sim::InvariantChecker checker(sim);
+  if (spec.check_invariants) {
+    NetInvariantOptions iopts;
+    // Zero-data-loss holds only when *every* flow is credit-scheduled: one
+    // reactive cross-traffic group probes the queues by filling them.
+    bool all_xp = is_expresspass(spec.protocol);
+    for (const FlowGroupSpec& g : spec.flow_groups) {
+      all_xp = all_xp && is_expresspass(g.protocol);
+    }
+    iopts.expect_zero_data_loss = all_xp;
+    register_network_invariants(checker, topo, driver,
+                                has_faults ? &plan : nullptr, iopts);
+    checker.start(sim::Time::us(100));
+  }
+
+  stats::Recorder rec;
+  topo.register_telemetry(rec, spec.telemetry.per_port_queue_series);
+  driver.register_telemetry(rec, spec.telemetry.flow_rate_series);
+  if (is_expresspass(spec.protocol)) {
+    core::register_credit_telemetry(rec, topo, driver.connections());
+  }
+  if (spec.telemetry.bottleneck_queue_series && b.bottleneck != nullptr) {
+    net::Port* p = b.bottleneck;
+    rec.series_gauge("queue.bottleneck.bytes", [p] {
+      return static_cast<double>(p->data_queue().bytes());
+    });
+  }
+
+  // Sampling steps run_until; the event stream a stepped run processes is
+  // identical to one uninterrupted run, so sampling can never perturb a
+  // golden output. An aborted sim makes run_until a no-op, so every stepped
+  // loop must break on aborted() or it would spin to its horizon.
+  const sim::Time interval = spec.telemetry.sample_interval;
+  auto run_until = [&](sim::Time until) {
+    if (interval > sim::Time::zero()) {
+      sim::Time t = sim.now();
+      while (t < until) {
+        t = std::min(t + interval, until);
+        sim.run_until(t);
+        if (sim.aborted()) break;  // drop the partial sample point
+        rec.sample_all(t.to_sec());
+      }
+    } else {
+      sim.run_until(until);
+    }
+  };
+
+  std::vector<std::pair<uint32_t, double>> rate_pairs;
+  uint64_t tx_before = 0;
+  bool completion_result = false;
+  switch (spec.stop.kind) {
+    case StopKind::kRunFor:
+      run_until(spec.stop.horizon);
+      break;
+    case StopKind::kWindow:
+      run_until(spec.stop.warmup);
+      if (b.bottleneck != nullptr) tx_before = b.bottleneck->tx_data_bytes();
+      driver.rates().snapshot_rates_ordered(spec.stop.warmup);  // reset
+      run_until(spec.stop.warmup + spec.stop.window);
+      rate_pairs = driver.rates().snapshot_rates_ordered(spec.stop.window);
+      break;
+    case StopKind::kCompletion:
+      if (interval > sim::Time::zero()) {
+        // run_to_completion's 1ms settle checks, at sample granularity.
+        sim::Time t = sim.now();
+        while (t < spec.stop.horizon && !sim.aborted() &&
+               driver.completed() + driver.failed() < driver.scheduled()) {
+          t = std::min(t + interval, spec.stop.horizon);
+          sim.run_until(t);
+          if (sim.aborted()) break;
+          rec.sample_all(t.to_sec());
+        }
+        completion_result = driver.completed() == driver.scheduled();
+      } else {
+        completion_result = driver.run_to_completion(spec.stop.horizon);
+      }
+      break;
+  }
+
+  // Everything after the run loop: final sweeps, scalar extraction, recorder
+  // mirroring, teardown.
   ScenarioResult res;
   res.name = spec.name;
   res.seed = spec.seed;
@@ -493,166 +640,6 @@ ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
 
   driver.stop_all();
   return res;
-}
-
-}  // namespace
-
-ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
-                                   const RunOverrides& overrides) const {
-  sim::Simulator sim(spec.seed, spec.heap_only_events
-                                    ? sim::EventQueue::Backend::kHeapOnly
-                                    : sim::EventQueue::Backend::kHybrid);
-  // Merge the spec's budget with caller-side enforcement: the override's
-  // wall-clock leash tightens (never loosens) whatever the spec declares.
-  {
-    sim::RunBudget budget = spec.budget.value_or(sim::RunBudget{});
-    if (overrides.wall_clock_ms > 0 && (budget.max_wall_ms <= 0 ||
-                                        overrides.wall_clock_ms <
-                                            budget.max_wall_ms)) {
-      budget.max_wall_ms = overrides.wall_clock_ms;
-    }
-    if (budget.any()) sim.set_budget(budget);
-  }
-  net::Topology topo(sim);
-
-  const TopologySpec& ts = spec.topology;
-  const double fabric_rate =
-      ts.fabric_rate_bps > 0 ? ts.fabric_rate_bps : ts.host_rate_bps;
-  const sim::Time fabric_prop =
-      ts.fabric_prop > sim::Time::zero() ? ts.fabric_prop : ts.host_prop;
-  Built b = build_network(spec, topo, fabric_rate, fabric_prop);
-
-  auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
-                                  spec.xp ? &*spec.xp : nullptr);
-  FlowDriver driver(sim, *transport);
-  // Group transports must outlive the driver's connections; declared after
-  // `transport` so they tear down first (connections are stopped explicitly
-  // in finish_run before anything is destroyed).
-  std::vector<std::unique_ptr<transport::Transport>> group_transports;
-  if (spec.flow_groups.empty()) {
-    add_traffic(spec, b, sim, driver, fabric_rate);
-  } else {
-    validate_flow_groups(spec);
-    for (size_t g = 0; g < spec.flow_groups.size(); ++g) {
-      const FlowGroupSpec& fg = spec.flow_groups[g];
-      transport::Transport* t = transport.get();
-      if (fg.protocol != spec.protocol) {
-        group_transports.push_back(make_transport(
-            fg.protocol, sim, topo, spec.base_rtt,
-            is_expresspass(fg.protocol) && spec.xp ? &*spec.xp : nullptr));
-        t = group_transports.back().get();
-      }
-      TrafficSpec tr = fg.traffic;
-      tr.flow_id_salt += static_cast<uint32_t>(g) * kGroupSaltStride;
-      add_traffic(spec, tr, b, sim, driver, fabric_rate, t, g);
-    }
-  }
-
-  // Faults target the first switch--switch link, falling back to the first
-  // link for single-switch topologies.
-  sim::FaultPlan plan(spec.fault_seed);
-  net::FaultInjector injector(topo, plan);
-  const bool has_faults = spec.faults.any();
-  if (has_faults) {
-    const net::Topology::LinkRec* target = nullptr;
-    for (const auto& l : topo.links()) {
-      if (topo.node(l.a).kind() == net::Node::Kind::kSwitch &&
-          topo.node(l.b).kind() == net::Node::Kind::kSwitch) {
-        target = &l;
-        break;
-      }
-    }
-    if (target == nullptr && !topo.links().empty()) {
-      target = &topo.links().front();
-    }
-    if (target != nullptr) {
-      apply_fault_scenario(spec.faults, injector, topo.node(target->a),
-                           topo.node(target->b));
-      plan.arm(sim);
-    }
-  }
-
-  sim::InvariantChecker checker(sim);
-  if (spec.check_invariants) {
-    NetInvariantOptions iopts;
-    // Zero-data-loss holds only when *every* flow is credit-scheduled: one
-    // reactive cross-traffic group probes the queues by filling them.
-    bool all_xp = is_expresspass(spec.protocol);
-    for (const FlowGroupSpec& g : spec.flow_groups) {
-      all_xp = all_xp && is_expresspass(g.protocol);
-    }
-    iopts.expect_zero_data_loss = all_xp;
-    register_network_invariants(checker, topo, driver,
-                                has_faults ? &plan : nullptr, iopts);
-    checker.start(sim::Time::us(100));
-  }
-
-  stats::Recorder rec;
-  topo.register_telemetry(rec, spec.telemetry.per_port_queue_series);
-  driver.register_telemetry(rec, spec.telemetry.flow_rate_series);
-  if (is_expresspass(spec.protocol)) {
-    core::register_credit_telemetry(rec, topo, driver.connections());
-  }
-  if (spec.telemetry.bottleneck_queue_series && b.bottleneck != nullptr) {
-    net::Port* p = b.bottleneck;
-    rec.series_gauge("queue.bottleneck.bytes", [p] {
-      return static_cast<double>(p->data_queue().bytes());
-    });
-  }
-
-  // Sampling steps run_until; the event stream a stepped run processes is
-  // identical to one uninterrupted run, so sampling can never perturb a
-  // golden output. An aborted sim makes run_until a no-op, so every stepped
-  // loop must break on aborted() or it would spin to its horizon.
-  const sim::Time interval = spec.telemetry.sample_interval;
-  auto run_until = [&](sim::Time until) {
-    if (interval > sim::Time::zero()) {
-      sim::Time t = sim.now();
-      while (t < until) {
-        t = std::min(t + interval, until);
-        sim.run_until(t);
-        if (sim.aborted()) break;  // drop the partial sample point
-        rec.sample_all(t.to_sec());
-      }
-    } else {
-      sim.run_until(until);
-    }
-  };
-
-  std::vector<std::pair<uint32_t, double>> rate_pairs;
-  uint64_t tx_before = 0;
-  bool completion_result = false;
-  switch (spec.stop.kind) {
-    case StopKind::kRunFor:
-      run_until(spec.stop.horizon);
-      break;
-    case StopKind::kWindow:
-      run_until(spec.stop.warmup);
-      if (b.bottleneck != nullptr) tx_before = b.bottleneck->tx_data_bytes();
-      driver.rates().snapshot_rates_ordered(spec.stop.warmup);  // reset
-      run_until(spec.stop.warmup + spec.stop.window);
-      rate_pairs = driver.rates().snapshot_rates_ordered(spec.stop.window);
-      break;
-    case StopKind::kCompletion:
-      if (interval > sim::Time::zero()) {
-        // run_to_completion's 1ms settle checks, at sample granularity.
-        sim::Time t = sim.now();
-        while (t < spec.stop.horizon && !sim.aborted() &&
-               driver.completed() + driver.failed() < driver.scheduled()) {
-          t = std::min(t + interval, spec.stop.horizon);
-          sim.run_until(t);
-          if (sim.aborted()) break;
-          rec.sample_all(t.to_sec());
-        }
-        completion_result = driver.completed() == driver.scheduled();
-      } else {
-        completion_result = driver.run_to_completion(spec.stop.horizon);
-      }
-      break;
-  }
-  return finish_run(spec, sim, topo, b, driver, checker, injector, plan,
-                    has_faults, rec, std::move(rate_pairs), tx_before,
-                    completion_result);
 }
 
 std::vector<ScenarioResult> ScenarioEngine::run_grid(

@@ -196,12 +196,6 @@ struct ScenarioSpec {
   FaultScenario faults;
   uint64_t fault_seed = kDefaultFaultSeed;
   bool check_invariants = false;
-  // Event-queue backend selector. The default hybrid queue routes near-term
-  // events through the timing wheel; heap-only forces the pure 4-ary heap.
-  // The two must produce byte-identical recorder output (the wheel is a
-  // scheduling-structure swap, not a semantic change) — tests flip this to
-  // prove it.
-  bool heap_only_events = false;
   // Optional run budget (event / sim-time / wall-clock / live-event caps).
   // Exceeding a cap truncates the run gracefully: the result is still fully
   // measured and emitted, flagged aborted with the tripped budget's name.

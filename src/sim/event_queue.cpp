@@ -174,18 +174,16 @@ void EventQueue::flush_staging() {
       release_slot(e.slot());
       continue;
     }
-    if (backend_ == Backend::kHybrid) {
-      bool wheeled = wheel_.try_schedule(e.t, e.key);
-      if (!wheeled && wheel_.empty()) {
-        // The wheel idled through a heap-only stretch and its span window
-        // fell behind now(); re-anchor it and retry.
-        wheel_.sync(now_);
-        wheeled = wheel_.try_schedule(e.t, e.key);
-      }
-      if (wheeled) {
-        ++wheel_scheduled_;
-        continue;
-      }
+    bool wheeled = wheel_.try_schedule(e.t, e.key);
+    if (!wheeled && wheel_.empty()) {
+      // The wheel idled through a heap-only stretch and its span window
+      // fell behind now(); re-anchor it and retry.
+      wheel_.sync(now_);
+      wheeled = wheel_.try_schedule(e.t, e.key);
+    }
+    if (wheeled) {
+      ++wheel_scheduled_;
+      continue;
     }
     ++heap_scheduled_;
     if (hole_) {

@@ -11,8 +11,8 @@
 // and scenario fault plans beyond the wheel's ~137 ms span go to the heap
 // (and stay there; an event never migrates between structures). The next
 // event to fire is the (t, seq)-minimum across both, so the firing order is
-// identical to a pure heap — EventQueue::Backend::kHeapOnly disables the
-// wheel so tests can prove it trace-for-trace.
+// identical to a pure heap — tests/sim/timing_wheel_test.cpp proves it
+// against a reference priority queue on randomized workloads.
 //
 // Design (and why it replaced the priority_queue + tombstone-set original):
 //
@@ -79,18 +79,6 @@ struct TimerId {
 
 class EventQueue {
  public:
-  // Which structure carries near-future events. kHybrid (the default)
-  // routes everything within the timing wheel's ~137 ms span through the
-  // wheel and keeps the 4-ary heap as sparse far-future overflow; kHeapOnly
-  // routes everything through the heap. Both fire the exact same (t, seq)
-  // order — kHeapOnly exists so tests can prove that, trace for trace.
-  enum class Backend { kHybrid, kHeapOnly };
-
-  explicit EventQueue(Backend backend = Backend::kHybrid)
-      : backend_(backend) {}
-
-  Backend backend() const { return backend_; }
-
   // Schedules `cb` at absolute time `t` (must be >= now()). A past-time `t`
   // is clamped to now() — enforced, not just documented, because a silently
   // accepted past-time event would fire out of order and break the FIFO
@@ -176,8 +164,7 @@ class EventQueue {
   // Pops and fires the wheel entry next_wheel() returned.
   void fire_wheel();
 
-  Backend backend_ = Backend::kHybrid;
-  TimingWheel wheel_;           // near-future events (kHybrid)
+  TimingWheel wheel_;           // near-future events
   std::vector<Entry> staging_;  // scheduled, not yet heapified
   std::vector<Entry> heap_;     // 4-ary min-heap on (t, seq)
   std::vector<Slot> slots_;

@@ -18,9 +18,7 @@ namespace xpass::sim {
 
 class Simulator {
  public:
-  explicit Simulator(uint64_t seed = 1,
-                     EventQueue::Backend backend = EventQueue::Backend::kHybrid)
-      : events_(backend), rng_(seed) {}
+  explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

@@ -260,6 +260,18 @@ TEST(Args, BooleanFlagReleasesTrailingTokenToPositionals) {
   EXPECT_TRUE(args.ok());
 }
 
+TEST(Args, ReleasedTokenKeepsArgvOrder) {
+  // `bench_core --no-sweep core.json hot.json`: the released core.json
+  // stays the first positional.
+  Argv a({"--no-sweep", "core.json", "hot.json"});
+  Args args(a.argc(), a.argv());
+  EXPECT_TRUE(args.flag("no-sweep"));
+  ASSERT_EQ(args.positional().size(), 2u);
+  EXPECT_EQ(args.positional()[0], "core.json");
+  EXPECT_EQ(args.positional()[1], "hot.json");
+  EXPECT_TRUE(args.ok());
+}
+
 TEST(Args, StrAndPositionals) {
   Argv a({"fanout", "--topology", "clos", "1000"});
   Args args(a.argc(), a.argv());

@@ -4,15 +4,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "bench/seed_event_queue.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
 using xpass::sim::EventQueue;
 using xpass::sim::Time;
-using xpass::sim::TimerId;
 using xpass::sim::TimingWheel;
 
 TEST(TimingWheel, EmptyPeeksNull) {
@@ -109,62 +111,162 @@ TEST(TimingWheel, SteadyStateRecyclesNodes) {
   EXPECT_EQ(w.node_pool_size(), pool_after_warmup);
 }
 
-// Differential check: a hybrid (wheel + heap) EventQueue and a heap-only
-// one must fire an identical randomized workload in the identical order —
-// including cancellations, same-time FIFO ties, reschedules from inside
-// callbacks, and far-future overflow events.
-TEST(TimingWheel, HybridMatchesHeapOnlyOnRandomizedWorkload) {
-  auto run = [](EventQueue::Backend backend) {
-    EventQueue q(backend);
-    std::vector<std::pair<int64_t, int>> fired;
-    uint64_t s = 0x2545f4914f6cdd1dULL;
-    auto next = [&s] {
-      s ^= s << 13;
-      s ^= s >> 7;
-      s ^= s << 17;
-      return s;
-    };
-    std::vector<TimerId> ids;
-    int n = 0;
-    // Self-perpetuating workload: each event schedules 0-2 successors at
-    // horizons from sub-tick to beyond the wheel span.
-    std::function<void(int)> plant = [&](int id) {
-      fired.emplace_back(q.now().picos(), id);
-      if (fired.size() > 4000) return;
-      const int kids = static_cast<int>(next() % 3);
+// A randomized, self-perpetuating event workload that replays identically on
+// any queue with the EventQueue schedule/cancel/now API. Random draws happen
+// only in start() and inside callbacks, so two queues that fire the same
+// (t, seq) order make the same draws and calls; the first divergence changes
+// everything after it.
+//
+// Each event spawns 0-3 children at horizons from zero (a quarter of them:
+// same-time FIFO ties) through sub-bucket, ns and us to beyond the wheel's
+// ~137 ms span (heap overflow), plus random cancels (pending, fired or
+// already-cancelled ids), the RTO pattern (cancel the earliest pending
+// timer, re-arm it later) and cancel-before-step. An epoch stops spawning
+// after a fixed budget; once everything has drained, the queue idles for
+// longer than the wheel's span before the next epoch plants 16 seed events,
+// so the wheel restarts from a stale window.
+template <class Q>
+class Workload {
+ public:
+  Workload(Q& q, uint64_t seed) : q_(q), s_(seed) {}
+  // Scheduled callbacks hold `this`.
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
+
+  void start() { plant_epoch(); }
+  const std::vector<std::pair<int64_t, int>>& fired() const { return fired_; }
+  int epochs_left() const { return epochs_left_; }
+
+ private:
+  using Id = decltype(std::declval<Q&>().schedule(Time::zero(), [] {}));
+  static constexpr int kEventsPerEpoch = 1000;
+
+  uint64_t next() {
+    s_ ^= s_ << 13;
+    s_ ^= s_ >> 7;
+    s_ ^= s_ << 17;
+    return s_;
+  }
+
+  Time delay() {
+    const uint64_t r = next() % 100;
+    if (r < 25) return Time::zero();  // same-time tie with its siblings
+    if (r < 50) return Time::ps(static_cast<int64_t>(next() % 20000));
+    if (r < 70) return Time::ns(static_cast<int64_t>(next() % 5000));
+    if (r < 90) return Time::us(static_cast<int64_t>(next() % 2000));
+    // Straddles / exceeds the wheel span: heap overflow territory.
+    return Time::ms(static_cast<int64_t>(next() % 300));
+  }
+
+  // Ids are handed out in scheduling order, so (t, id) orders like the
+  // queues' (t, seq).
+  int add(Time t) {
+    const int id = static_cast<int>(timers_.size());
+    timers_.push_back(q_.schedule(t, [this, id] { fire(id); }));
+    at_.push_back(t.picos());
+    pending_.emplace(t.picos(), id);
+    return id;
+  }
+
+  void cancel(int id) {
+    q_.cancel(timers_[id]);
+    pending_.erase({at_[id], id});
+  }
+
+  void plant_epoch() {
+    --epochs_left_;
+    budget_ = kEventsPerEpoch;
+    for (int i = 0; i < 16; ++i) {
+      add(q_.now() + (next() % 4 == 0
+                          ? Time::zero()
+                          : Time::ns(static_cast<int64_t>(next() % 1000))));
+    }
+  }
+
+  void fire(int id) {
+    pending_.erase({q_.now().picos(), id});
+    fired_.emplace_back(q_.now().picos(), id);
+    if (id == restart_id_) {
+      plant_epoch();
+    } else if (budget_ > 0) {
+      --budget_;
+      const int kids = static_cast<int>(next() % 4);
       for (int k = 0; k < kids; ++k) {
-        const uint64_t r = next() % 100;
-        Time dt;
-        if (r < 40) {
-          dt = Time::ps(static_cast<int64_t>(next() % 20000));  // sub-bucket
-        } else if (r < 70) {
-          dt = Time::ns(static_cast<int64_t>(next() % 5000));
-        } else if (r < 90) {
-          dt = Time::us(static_cast<int64_t>(next() % 2000));
-        } else {
-          // Straddles / exceeds the wheel span: heap overflow territory.
-          dt = Time::ms(static_cast<int64_t>(next() % 300));
-        }
-        const int child = ++n;
-        ids.push_back(q.schedule(q.now() + dt, [&, child] { plant(child); }));
-        // Occasionally cancel a random previously issued timer.
-        if (next() % 8 == 0 && !ids.empty()) {
-          q.cancel(ids[next() % ids.size()]);
+        add(q_.now() + delay());
+        if (next() % 8 == 0) cancel(static_cast<int>(next() % timers_.size()));
+      }
+      if (next() % 16 == 0 && !pending_.empty()) {
+        // RTO pattern: the earliest pending timer is cancelled and re-armed.
+        cancel(pending_.begin()->second);
+        add(q_.now() + Time::us(static_cast<int64_t>(next() % 500)));
+      }
+      if (next() % 16 == 0) cancel(add(q_.now() + delay()));
+    }
+    if (pending_.empty() && epochs_left_ > 0) {
+      // Drained: idle past the wheel's span before the next epoch.
+      restart_id_ = add(q_.now() + Time::ms(140 + next() % 300));
+    }
+  }
+
+  Q& q_;
+  uint64_t s_;
+  std::vector<Id> timers_;
+  std::vector<int64_t> at_;
+  std::set<std::pair<int64_t, int>> pending_;
+  std::vector<std::pair<int64_t, int>> fired_;
+  int epochs_left_ = 3;
+  int budget_ = 0;
+  int restart_id_ = -1;
+};
+
+// Differential check of the hybrid (wheel + heap) EventQueue against the
+// reference heap bench_core times against: the same randomized workload
+// must fire in the identical (t, id) order on both. The reference runs
+// straight through; the EventQueue is driven through random run_until /
+// step_until horizons (zero, same-instant, near, and deep into idle gaps).
+TEST(TimingWheel, HybridMatchesHeapOnlyOnRandomizedWorkload) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    const uint64_t workload_seed = seed * 0x2545f4914f6cdd1dULL;
+
+    xpass::bench::SeedEventQueue ref_q;
+    Workload<xpass::bench::SeedEventQueue> ref(ref_q, workload_seed);
+    ref.start();
+    ref_q.run();
+
+    EventQueue q;
+    Workload<EventQueue> hybrid(q, workload_seed);
+    hybrid.start();
+    uint64_t h = seed;
+    while (!q.empty()) {
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint64_t r = h >> 33;
+      Time horizon;
+      switch (r % 4) {
+        case 0: horizon = Time::zero(); break;
+        case 1: horizon = Time::ns(static_cast<int64_t>(r % 3000)); break;
+        case 2: horizon = Time::us(static_cast<int64_t>(r % 3000)); break;
+        default: horizon = Time::ms(static_cast<int64_t>(r % 300)); break;
+      }
+      if ((r >> 8) % 2 == 0) {
+        q.run_until(q.now() + horizon);
+      } else {
+        while (q.step_until(q.now() + horizon)) {
         }
       }
-    };
-    for (int i = 0; i < 16; ++i) {
-      const int seed_id = ++n;
-      ids.push_back(q.schedule(Time::ns(static_cast<int64_t>(next() % 1000)),
-                               [&, seed_id] { plant(seed_id); }));
     }
-    q.run();
-    return fired;
-  };
-  const auto hybrid = run(EventQueue::Backend::kHybrid);
-  const auto heap = run(EventQueue::Backend::kHeapOnly);
-  ASSERT_GT(hybrid.size(), 1000u);
-  EXPECT_EQ(hybrid, heap);
+
+    ASSERT_EQ(ref.epochs_left(), 0);
+    ASSERT_GT(ref.fired().size(), 3000u);
+    EXPECT_GT(q.wheel_scheduled(), 0u);
+    EXPECT_GT(q.heap_scheduled(), 0u);
+    size_t ties = 0;
+    for (size_t i = 1; i < ref.fired().size(); ++i) {
+      ties += ref.fired()[i].first == ref.fired()[i - 1].first;
+    }
+    EXPECT_GT(ties, 100u);
+    EXPECT_EQ(hybrid.fired(), ref.fired());
+  }
 }
 
 TEST(TimingWheel, HybridQueueRoutesHotEventsToWheel) {

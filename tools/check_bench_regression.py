@@ -2,30 +2,38 @@
 """Gate event-core throughput against the committed BENCH_core.json.
 
 Usage: check_bench_regression.py <committed_core.json> <fresh_core.json>
-       [--threshold 0.20] [--hotpath <fresh_hotpath.json>]
+       [--threshold 0.20]
+       [--hotpath <committed_hotpath.json> <fresh_hotpath.json>]
 
 Compares the *speedup_vs_seed* ratios for schedule_fire and churn, not the
 absolute ops/sec: the committed baseline was measured on the maintainer's
 machine, a CI runner's absolute throughput tells us nothing. The ratio is
-in-binary (new queue vs the embedded seed queue under identical flags on the
-same host), so it is hardware-normalized — a >20% drop means the event core
+in-binary (new queue vs the seed queue, bench/seed_event_queue.hpp, under
+identical flags on the same host), so it is hardware-normalized — a >20% drop means the event core
 itself got slower relative to its fixed reference, not that the runner was
 slow. The fresh run may use --ops far below the committed default; the ratio
 is noisier there, which is why the gate is 20% and only two metrics.
 
-With --hotpath, also gates the hot-path invariants from a fresh
-BENCH_hotpath.json. These are count-based, not timing-based, so they hold
-exactly on any hardware:
-  - chain.events_per_hop < 1.0 (train delivery keeps the multi-hop chain
-    below one simulator event per packet-hop)
-  - hot_path_allocs == 0 on every fig15 row and the chain row (the steady
-    state never touches the allocator; skipped if the probe was stubbed out)
-  - wheel_vs_heap.identical_trajectory (hybrid and heap-only backends fired
-    the same event sequence)
+With --hotpath, also gates the fig15 work counters of a fresh
+BENCH_hotpath.json against the committed one. The scenario is deterministic,
+so the counters are exact on any hardware and must match the committed
+values exactly, row by row:
+  - events_fired, packet_hops, kick_events, retry_events, wheel_events and
+    heap_events (a changed count means the event pattern changed: an extra
+    wakeup per transmission, a lost coalescing, events rerouted between the
+    timing wheel and the heap)
+  - hot_path_allocs == 0 (the steady state never touches the allocator;
+    skipped if the probe was stubbed out)
+A deliberate change to the event pattern must regenerate and commit
+BENCH_hotpath.json alongside it.
 """
 import argparse
 import json
 import sys
+
+# fig15 work counters gated for exact equality with the committed file.
+COUNTERS = ("events_fired", "packet_hops", "kick_events", "retry_events",
+            "wheel_events", "heap_events")
 
 
 def main() -> int:
@@ -33,8 +41,9 @@ def main() -> int:
     ap.add_argument("committed")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=0.20)
-    ap.add_argument("--hotpath", help="fresh BENCH_hotpath.json to gate "
-                    "count-based hot-path invariants on")
+    ap.add_argument("--hotpath", nargs=2, metavar=("COMMITTED", "FRESH"),
+                    help="committed and fresh BENCH_hotpath.json: gate the "
+                    "fig15 work counters exactly")
     args = ap.parse_args()
 
     with open(args.committed) as f:
@@ -54,36 +63,32 @@ def main() -> int:
             failures.append(metric)
 
     if args.hotpath:
-        with open(args.hotpath) as f:
+        with open(args.hotpath[0]) as f:
+            base_rows = {r["flows"]: r for r in json.load(f)["fig15"]}
+        with open(args.hotpath[1]) as f:
             hot = json.load(f)
-
-        chain = hot["chain"]
-        eph = chain["events_per_hop"]
-        ok = eph < 1.0
-        print(f"chain          events_per_hop: {eph:.3f} "
-              f"{'OK' if ok else 'REGRESSION (>= 1.0)'}")
-        if not ok:
-            failures.append("chain.events_per_hop")
-
-        if hot.get("alloc_probe_enabled", False):
-            rows = [(f"fig15[{r['flows']}]", r["hot_path_allocs"])
-                    for r in hot["fig15"]]
-            rows.append(("chain", chain["hot_path_allocs"]))
-            for name, allocs in rows:
-                ok = allocs == 0
-                print(f"{name:14s} hot_path_allocs: {allocs} "
-                      f"{'OK' if ok else 'REGRESSION (!= 0)'}")
-                if not ok:
-                    failures.append(f"{name}.hot_path_allocs")
-        else:
+        fresh_rows = {r["flows"]: r for r in hot["fig15"]}
+        probe = hot.get("alloc_probe_enabled", False)
+        if not probe:
             print("hot_path_allocs: probe stubbed out (sanitized build), "
                   "skipped")
 
-        identical = hot["wheel_vs_heap"]["identical_trajectory"]
-        print(f"wheel_vs_heap  identical_trajectory: {identical} "
-              f"{'OK' if identical else 'REGRESSION'}")
-        if not identical:
-            failures.append("wheel_vs_heap.identical_trajectory")
+        for flows, base in sorted(base_rows.items()):
+            name = f"fig15[{flows}]"
+            row = fresh_rows.get(flows)
+            if row is None:
+                print(f"{name:14s} missing from the fresh run REGRESSION")
+                failures.append(name)
+                continue
+            checks = [(c, base[c], row[c]) for c in COUNTERS]
+            if probe:
+                checks.append(("hot_path_allocs", 0, row["hot_path_allocs"]))
+            for key, want, got in checks:
+                ok = got == want
+                print(f"{name:14s} {key}: expected {want}, fresh {got} "
+                      f"{'OK' if ok else 'REGRESSION'}")
+                if not ok:
+                    failures.append(f"{name}.{key}")
 
     if failures:
         print(f"FAIL: {', '.join(failures)} regressed vs the committed "
