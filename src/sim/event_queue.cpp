@@ -14,9 +14,9 @@ constexpr size_t kArity = 4;
 }  // namespace
 
 uint32_t EventQueue::acquire_slot() {
-  if (free_head_ != TimerId::kInvalidSlot) {
+  if (free_head_ != kNil) {
     const uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
+    free_head_ = slots_[idx].link;
     return idx;
   }
   // Pool growth only happens when every existing slot is pending, so this
@@ -32,9 +32,8 @@ uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(uint32_t idx) {
   Slot& s = slots_[idx];
   s.cb.reset();
-  s.armed = false;
-  ++s.gen;  // invalidate every TimerId handed out for this use of the slot
-  s.next_free = free_head_;
+  s.key = 0;  // the entry, wherever it sits, is dead from here on
+  s.link = free_head_;
   free_head_ = idx;
 }
 
@@ -58,10 +57,11 @@ TimerId EventQueue::schedule(Time t, Callback cb) {
 #endif
   }
   const uint32_t idx = acquire_slot();
+  const uint64_t key = (next_seq_++ << kSlotBits) | idx;
   Slot& s = slots_[idx];
   s.cb = std::move(cb);
-  s.armed = true;
-  const uint64_t key = (next_seq_++ << kSlotBits) | idx;
+  s.key = key;
+  s.link = kNil;
   // Deferred routing: the entry sits in the unsorted staging buffer until
   // the queue is next stepped, and only then picks wheel vs heap. An event
   // cancelled before that (teardown, RTO reschedule) is dropped at flush
@@ -73,21 +73,22 @@ TimerId EventQueue::schedule(Time t, Callback cb) {
   // across both structures regardless of where an entry landed.
   staging_.push_back(Entry{t, key});
   ++live_count_;
-  return TimerId{idx, s.gen};
+  return TimerId{key};
 }
 
 void EventQueue::cancel(TimerId id) {
-  if (id.slot >= slots_.size()) return;
-  Slot& s = slots_[id.slot];
-  if (s.gen != id.gen || !s.armed) return;  // fired, cancelled, or reused
-  s.armed = false;
-  s.cb.reset();  // release captured resources now, not at heap drain
+  const uint32_t idx = slot_of(id.key);
+  if (!id.valid() || idx >= slots_.size() || slots_[idx].key != id.key) {
+    return;  // fired, cancelled, or never scheduled
+  }
+  // Reclaim everything now. A bucketed L1/L2 node is unlinked; any other
+  // entry stays where it is and is dropped when it surfaces, because its
+  // key no longer matches the (freed or reused) slot.
+  const uint32_t node = slots_[idx].link;
+  if (node != kNil) wheel_.remove(node, id.key);
+  release_slot(idx);
   --live_count_;
   ++cancelled_;
-  // The slot itself is reclaimed when its heap entry surfaces — except for
-  // the common cancel-and-reschedule pattern, where the entry is often the
-  // current top and can be reclaimed right away.
-  skim_cancelled();
 }
 
 void EventQueue::fire_top() {
@@ -113,18 +114,15 @@ void EventQueue::fire_top() {
 
 const TimingWheel::Entry* EventQueue::next_wheel() {
   const TimingWheel::Entry* w;
-  while ((w = wheel_.peek()) != nullptr &&
-         !slots_[static_cast<uint32_t>(w->key) & kSlotMask].armed) {
-    // Cancelled while bucketed: reclaim the pool slot as the entry surfaces
-    // (the wheel-side analogue of skim_cancelled).
-    release_slot(static_cast<uint32_t>(wheel_.pop().key) & kSlotMask);
+  while ((w = wheel_.peek()) != nullptr && !live(w->key)) {
+    wheel_.pop();  // cancelled after it left a bucket (or while in L0)
   }
   return w;
 }
 
 void EventQueue::fire_wheel() {
   const TimingWheel::Entry e = wheel_.pop();
-  const uint32_t idx = static_cast<uint32_t>(e.key) & kSlotMask;
+  const uint32_t idx = slot_of(e.key);
   Slot& s = slots_[idx];
   Callback cb = std::move(s.cb);
   release_slot(idx);
@@ -169,17 +167,15 @@ bool EventQueue::step_until(Time t_end) {
 
 void EventQueue::flush_staging() {
   for (const Entry& e : staging_) {
-    if (!slots_[e.slot()].armed) {
-      // Cancelled while staged: reclaim without touching wheel or heap.
-      release_slot(e.slot());
-      continue;
-    }
-    bool wheeled = wheel_.try_schedule(e.t, e.key);
+    // Cancelled while staged: drop without touching wheel or heap.
+    if (!live(e.key)) continue;
+    uint32_t& node = slots_[e.slot()].link;
+    bool wheeled = wheel_.try_schedule(e.t, e.key, &node);
     if (!wheeled && wheel_.empty()) {
       // The wheel idled through a heap-only stretch and its span window
       // fell behind now(); re-anchor it and retry.
       wheel_.sync(now_);
-      wheeled = wheel_.try_schedule(e.t, e.key);
+      wheeled = wheel_.try_schedule(e.t, e.key, &node);
     }
     if (wheeled) {
       ++wheel_scheduled_;
@@ -213,9 +209,7 @@ void EventQueue::fill_hole() {
 
 void EventQueue::skim_cancelled() {
   fill_hole();
-  while (!heap_.empty() && !slots_[heap_[0].slot()].armed) {
-    release_slot(heap_pop().slot());
-  }
+  while (!heap_.empty() && !live(heap_[0].key)) heap_pop();
 }
 
 void EventQueue::run_until(Time t_end) {

@@ -1,4 +1,4 @@
-// Discrete-event queue with cancellable timers, built on a generation-tagged
+// Discrete-event queue with cancellable timers, built on a key-validated
 // slot pool, a hierarchical timing wheel for the near future, and a 4-ary
 // heap for far-future overflow.
 //
@@ -16,23 +16,35 @@
 //
 // Design (and why it replaced the priority_queue + tombstone-set original):
 //
-//  * Every scheduled event owns a slot in a recycled pool; `TimerId` is the
-//    pair {slot index, slot generation}. `cancel()` checks the generation and
-//    disarms the slot — O(1), no lookup structure. A cancel on an id whose
-//    event already fired (or was already cancelled, or whose slot was since
-//    reused) sees a stale generation or a disarmed slot and is a no-op. The
-//    original kept cancelled ids in an unordered_set that was only cleaned
-//    when the id surfaced at the heap top, so cancelling an already-fired
-//    timer — which every completed connection does in stop() — left its id
-//    in the set forever. Here there is nothing to leak: the slot is
-//    reclaimed exactly when its heap entry pops, structurally.
+//  * Every scheduled event owns a slot in a recycled pool, and its queue
+//    entry carries the key (seq << 20 | slot). The slot records the key of
+//    its live entry; an entry anywhere in the queue (staging buffer, heap,
+//    wheel bucket or ready run) is live only while its slot still holds
+//    that key. `TimerId` is the key, so `cancel()` is one comparison, and a
+//    cancel on an id whose event already fired or was cancelled — the slot
+//    is free or reused under a different key, since seqs are unique — is a
+//    no-op. The original kept cancelled ids in an unordered_set that was
+//    only cleaned when the id surfaced at the heap top, so cancelling an
+//    already-fired timer — which every completed connection does in
+//    stop() — left its id in the set forever. Here nothing is left behind.
 //
-//  * The heap stores 16-byte {time, seq<<20|slot} entries in a 4-ary
-//    layout: shallower than binary (fewer cache misses per sift), and a
-//    sibling group spans at most two cache lines. The packed second word
-//    compares identically to the sequence number (seqs are unique, so the
-//    slot bits never decide), keeping the FIFO tie-break while halving
-//    what a sift moves. Callbacks never move through the heap.
+//  * Storage is reclaimed at cancel time, not when the dead entry's
+//    deadline comes round. `cancel()` frees the slot at once, and a
+//    cancelled entry in an L1/L2 wheel bucket is unlinked in O(1) through
+//    the node handle its slot keeps. Both pools are therefore bounded by
+//    the live events, not by re-arms: every reactive baseline re-arms a
+//    10 ms RTO on each ACK, so a queue that kept each dead timer until its
+//    deadline held one per ACK of the last 10 ms. Entries the queue cannot
+//    unlink cheaply (staged, heap-routed, in an L0 bucket or the ready run)
+//    are dropped when they surface, without touching any slot.
+//
+//  * The heap stores 16-byte {time, key} entries in a 4-ary layout:
+//    shallower than binary (fewer cache misses per sift), and a sibling
+//    group spans at most two cache lines. The key compares identically to
+//    the sequence number (seqs are unique, so the slot bits never decide),
+//    keeping the FIFO tie-break while halving what a sift moves. Callbacks
+//    never move through the heap. Slot and node indices never decide the
+//    fire order, so reclaiming them early cannot change a trajectory.
 //
 //  * Routing is deferred: schedule() appends to an unsorted staging buffer,
 //    and the wheel-vs-heap decision happens only when the queue is next
@@ -67,14 +79,13 @@
 
 namespace xpass::sim {
 
-// Opaque handle for cancelling a scheduled event. Value-semantic and cheap;
-// safe to cancel any number of times, including after the event fired or the
-// slot was reused (the generation tag makes stale handles inert).
+// Opaque handle for cancelling a scheduled event: the key of its queue
+// entry. Value-semantic and cheap; safe to cancel any number of times,
+// including after the event fired or its slot was reused (no later entry
+// carries the same key, so stale handles are inert).
 struct TimerId {
-  static constexpr uint32_t kInvalidSlot = 0xffffffffu;
-  uint32_t slot = kInvalidSlot;
-  uint32_t gen = 0;
-  bool valid() const { return slot != kInvalidSlot; }
+  uint64_t key = 0;  // 0 = no event
+  bool valid() const { return key != 0; }
 };
 
 class EventQueue {
@@ -105,6 +116,12 @@ class EventQueue {
   // Runs everything.
   void run();
 
+  // Slot indices live in the low bits of an entry key; the pool is hard
+  // capped at 2^20 concurrently pending events (enforced on pool growth).
+  // The remaining 44 bits of sequence number cover ~1.7e13 scheduled events
+  // per queue lifetime.
+  static constexpr uint32_t kSlotBits = 20;
+
   // Introspection for tests and benchmarks.
   uint64_t fired() const { return fired_; }
   uint64_t cancelled() const { return cancelled_; }
@@ -113,31 +130,35 @@ class EventQueue {
   uint64_t heap_scheduled() const { return heap_scheduled_; }
   size_t wheel_entries() const { return wheel_.pending(); }
   // Total slots ever allocated: bounded by the max number of simultaneously
-  // scheduled events, regardless of how many were cancelled over time.
+  // pending events, regardless of how many were cancelled over time.
   size_t pool_slots() const { return slots_.size(); }
   size_t heap_entries() const {
     return heap_.size() + staging_.size() - (hole_ ? 1 : 0);
   }
 
  private:
+  static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr uint32_t kNil = TimingWheel::kNoNode;
+  static uint32_t slot_of(uint64_t key) {
+    return static_cast<uint32_t>(key) & kSlotMask;
+  }
+
   struct Slot {
     Callback cb;
-    uint32_t gen = 0;  // bumped on release; stale TimerIds stop matching
-    uint32_t next_free = TimerId::kInvalidSlot;
-    bool armed = false;  // false = empty, cancelled, or already fired
+    uint64_t key = 0;  // key of the live entry; 0 = free
+    // Free: the next free slot. Live: the wheel node holding the entry, or
+    // kNil while it is staged, heap-routed or merged into the ready run.
+    uint32_t link = kNil;
   };
-  // Slot indices live in the low bits of the packed key; the pool is hard
-  // capped at 2^20 concurrently pending events (enforced on pool growth).
-  // The remaining 44 bits of sequence number cover ~1.7e13 scheduled events
-  // per queue lifetime.
-  static constexpr uint32_t kSlotBits = 20;
-  static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
   struct Entry {
     Time t;
     uint64_t key;  // (seq << kSlotBits) | slot
-    uint32_t slot() const { return static_cast<uint32_t>(key) & kSlotMask; }
+    uint32_t slot() const { return slot_of(key); }
   };
   static_assert(sizeof(Entry) == 16);
+
+  // Whether the entry with `key` is still live (not cancelled or fired).
+  bool live(uint64_t key) const { return slots_[slot_of(key)].key == key; }
 
   static bool earlier(const Entry& a, const Entry& b) {
     if (a.t != b.t) return a.t < b.t;
@@ -150,15 +171,15 @@ class EventQueue {
   Entry heap_pop();
   void sift_up(size_t i);
   void sift_down(size_t i);
-  // Moves staged events into the heap, dropping already-cancelled ones.
+  // Routes staged events to the wheel or heap, dropping cancelled ones.
   void flush_staging();
-  // Reclaims cancelled entries sitting at the heap top.
+  // Drops cancelled entries sitting at the heap top.
   void skim_cancelled();
   // Closes a root hole left by fire_top when no staged event claimed it.
   void fill_hole();
-  // Pops the (flushed, armed) top entry and invokes its callback.
+  // Pops the (flushed, live) top entry and invokes its callback.
   void fire_top();
-  // Earliest live wheel entry (cancelled ones reclaimed on the way), or
+  // Earliest live wheel entry (cancelled ones dropped on the way), or
   // nullptr if the wheel has nothing pending.
   const TimingWheel::Entry* next_wheel();
   // Pops and fires the wheel entry next_wheel() returned.
@@ -168,7 +189,7 @@ class EventQueue {
   std::vector<Entry> staging_;  // scheduled, not yet heapified
   std::vector<Entry> heap_;     // 4-ary min-heap on (t, seq)
   std::vector<Slot> slots_;
-  uint32_t free_head_ = TimerId::kInvalidSlot;
+  uint32_t free_head_ = kNil;
   // True while heap_[0] is a fired event's stale entry, waiting to be
   // overwritten by the next staged event (pop-push fusion; see fire_top).
   bool hole_ = false;

@@ -27,9 +27,23 @@ uint32_t TimingWheel::acquire_node(Time t, uint64_t key) {
   return idx;
 }
 
+void TimingWheel::free_node(uint32_t node) {
+  nodes_[node].key = 0;  // stale remove() handles stop matching
+  nodes_[node].next = free_head_;
+  free_head_ = node;
+}
+
 void TimingWheel::link(uint32_t level, uint32_t slot, uint32_t node) {
-  nodes_[node].next = heads_[level][slot];
-  heads_[level][slot] = node;
+  uint32_t& head = heads_[level][slot];
+  Node& n = nodes_[node];
+  n.next = head;
+  if (level == 0) {
+    n.prev = kNil;
+  } else {
+    n.prev = head_tag(level, slot);
+    if (head != kNil) nodes_[head].prev = node;
+  }
+  head = node;
   bitmap_[level][slot >> 6] |= 1ull << (slot & 63);
 }
 
@@ -46,7 +60,7 @@ void TimingWheel::place(uint32_t node) {
   }
 }
 
-bool TimingWheel::try_schedule(Time t, uint64_t key) {
+bool TimingWheel::try_schedule(Time t, uint64_t key, uint32_t* node) {
   const uint64_t tick = tick_of(t);
   if (tick < cur_tick_) {
     // Already-drained bucket (a heap-side event fired earlier and scheduled
@@ -58,15 +72,37 @@ bool TimingWheel::try_schedule(Time t, uint64_t key) {
         std::upper_bound(ready_.begin() + static_cast<ptrdiff_t>(ready_pos_),
                          ready_.end(), e, entry_earlier),
         e);
+    if (node != nullptr) *node = kNoNode;
     ++pending_;
     ++accepted_;
     return true;
   }
   if (tick - cur_tick_ >= kSpanTicks) return false;
-  place(acquire_node(t, key));
+  const uint32_t idx = acquire_node(t, key);
+  place(idx);
+  if (node != nullptr) *node = idx;
   ++pending_;
   ++bucketed_;
   ++accepted_;
+  return true;
+}
+
+bool TimingWheel::remove(uint32_t node, uint64_t key) {
+  assert(key != 0 && node < nodes_.size());
+  const Node& n = nodes_[node];
+  if (n.key != key || n.prev == kNil) return false;
+  if (n.prev & kHeadTag) {
+    const uint32_t level = (n.prev & ~kHeadTag) >> kLevelBits;
+    const uint32_t slot = n.prev & kSlotMask;
+    heads_[level][slot] = n.next;
+    if (n.next == kNil) bitmap_[level][slot >> 6] &= ~(1ull << (slot & 63));
+  } else {
+    nodes_[n.prev].next = n.next;
+  }
+  if (n.next != kNil) nodes_[n.next].prev = n.prev;
+  free_node(node);
+  --pending_;
+  --bucketed_;
   return true;
 }
 
@@ -125,8 +161,7 @@ bool TimingWheel::advance_and_drain() {
     while (node != kNil) {
       ready_.push_back(Entry{nodes_[node].t, nodes_[node].key});
       const uint32_t next = nodes_[node].next;
-      nodes_[node].next = free_head_;
-      free_head_ = node;
+      free_node(node);
       node = next;
       --bucketed_;
     }

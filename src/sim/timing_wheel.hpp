@@ -28,6 +28,14 @@
 // into the unconsumed tail of the run, which keeps the pop order exact
 // without ever rewinding the wheel.
 //
+// Removal: the owning queue frees a cancelled event's storage at cancel
+// time, so remove() unlinks a bucketed node in O(1). L1 and L2 chains are
+// doubly linked for it; the back-link of a chain's first node encodes the
+// head's level and slot. L0 chains stay singly linked: an L0 bucket drains
+// within ~2.1 us of any schedule, so a node cancelled there is simply
+// dropped by the queue when it surfaces. Back-linking L0 would add stores
+// to every hot-path insert to save at most ~2.1 us of node lifetime.
+//
 // Nodes live in a recycled pool with an intrusive freelist; steady-state
 // operation allocates nothing.
 #pragma once
@@ -55,11 +63,24 @@ class TimingWheel {
   // Ticks covered before overflow: 2^24 ticks = ~137 ms.
   static constexpr uint64_t kSpanTicks = 1ull << (kLevels * kLevelBits);
 
+  // try_schedule's report for an entry that went straight into the ready
+  // run rather than a bucket node.
+  static constexpr uint32_t kNoNode = 0xffffffffu;
+
   // Accepts `t` if it lies within the wheel's span of the drain cursor;
   // returns false for far-future events (the caller's heap handles those).
   // `t` may be at or before the drained boundary (see file comment); it
-  // must not be before the owning queue's now().
-  bool try_schedule(Time t, uint64_t key);
+  // must not be before the owning queue's now(). If `node` is given, it
+  // receives the bucket node holding the entry (a handle for remove()), or
+  // kNoNode.
+  bool try_schedule(Time t, uint64_t key, uint32_t* node = nullptr);
+
+  // Unlinks and frees `node` if it still holds `key` and sits on an L1 or
+  // L2 chain; returns whether it did. A node already drained into the
+  // ready run, freed, reused for another key, or on an L0 chain is left
+  // alone, so the caller must still skip such an entry when it surfaces.
+  // `key` must be nonzero: drained and freed nodes hold 0.
+  bool remove(uint32_t node, uint64_t key);
 
   // Earliest pending entry, or nullptr if the wheel is empty. Advances the
   // cursor and drains buckets as needed (mutating, amortized O(1)).
@@ -82,11 +103,21 @@ class TimingWheel {
  private:
   struct Node {
     Time t;
-    uint64_t key;
-    uint32_t next;
+    uint64_t key;   // 0 once drained or freed
+    uint32_t next;  // chain successor, or next free node
+    // L1/L2: predecessor node, or head_tag() of the chain's bucket.
+    // L0: kNil (no back-links; see file comment).
+    uint32_t prev;
   };
-  static constexpr uint32_t kNil = 0xffffffffu;
+  static_assert(sizeof(Node) == 24);
+  static constexpr uint32_t kNil = kNoNode;
   static constexpr uint32_t kSlotMask = kSlots - 1;
+  // Back-link tag of a chain's first node: node indices stay below 2^31
+  // (the owning queue caps pending events at 2^20).
+  static constexpr uint32_t kHeadTag = 1u << 31;
+  static uint32_t head_tag(uint32_t level, uint32_t slot) {
+    return kHeadTag | (level << kLevelBits) | slot;
+  }
   static constexpr size_t kWords = kSlots / 64;
 
   static bool entry_earlier(const Entry& a, const Entry& b) {
@@ -98,6 +129,7 @@ class TimingWheel {
   }
 
   uint32_t acquire_node(Time t, uint64_t key);
+  void free_node(uint32_t node);
   void link(uint32_t level, uint32_t slot, uint32_t node);
   // Re-buckets every node of an upper-level slot after a window crossing.
   void cascade(uint32_t level, uint32_t slot);

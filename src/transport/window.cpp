@@ -75,15 +75,19 @@ void WindowConnection::on_packet(Packet&& p) {
 }
 
 void WindowConnection::handle_data(const Packet& p) {
-  if (p.seq >= rcv_next_) {
-    rcv_ooo_.emplace(p.seq, p.payload_bytes);
-    // Advance the cumulative point over everything now contiguous.
+  if (p.seq == rcv_next_) {
+    // In order: deliver without a trip through the reassembly buffer, then
+    // advance the cumulative point over everything now contiguous.
+    ++rcv_next_;
+    deliver(p.payload_bytes);
     for (auto it = rcv_ooo_.begin();
          it != rcv_ooo_.end() && it->first == rcv_next_;
          it = rcv_ooo_.erase(it)) {
       ++rcv_next_;
       deliver(it->second);
     }
+  } else if (p.seq > rcv_next_) {
+    rcv_ooo_.emplace(p.seq, p.payload_bytes);
   }
   // Duplicates just re-ACK the cumulative point.
   Packet ack = net::make_control(PktType::kAck, spec_.id, spec_.dst->id(),

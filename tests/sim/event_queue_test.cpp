@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,7 +48,8 @@ TEST(EventQueue, CancelPreventsExecution) {
 TEST(EventQueue, CancelInvalidIdIsNoop) {
   EventQueue q;
   q.cancel(TimerId{});
-  q.cancel(TimerId{12345, 0});  // slot that was never allocated
+  // Slot that was never allocated.
+  q.cancel(TimerId{(uint64_t{1} << EventQueue::kSlotBits) | 12345});
   int fired = 0;
   q.schedule(Time::us(1), [&] { ++fired; });
   q.run();
@@ -196,17 +199,97 @@ TEST(EventQueue, PendingStaysExactAcrossScheduleCancelChurn) {
   EXPECT_LE(q.pool_slots(), 100'000u);
 }
 
+constexpr uint64_t kSlotMask = (uint64_t{1} << EventQueue::kSlotBits) - 1;
+
 TEST(EventQueue, StaleCancelDoesNotKillSlotReuser) {
   EventQueue q;
   int fired = 0;
   TimerId a = q.schedule(Time::us(1), [] {});
   q.run();  // `a` fires; its slot returns to the free list
   TimerId b = q.schedule(Time::us(2), [&] { ++fired; });
-  EXPECT_EQ(b.slot, a.slot);   // slot recycled...
-  EXPECT_NE(b.gen, a.gen);     // ...under a new generation
-  q.cancel(a);                 // stale handle must not cancel b
+  EXPECT_EQ(b.key & kSlotMask, a.key & kSlotMask);  // slot recycled...
+  EXPECT_NE(b.key, a.key);                          // ...under a new key
+  q.cancel(a);  // stale handle must not cancel b
   q.run();
   EXPECT_EQ(fired, 1);
+}
+
+// cancel() frees the slot at once, while the cancelled entry stays wherever
+// it sits until it surfaces. A schedule that reuses the slot must neither
+// be killed by the dead entry nor fire twice, wherever that entry is: still
+// staged, in the ready run, an L0 bucket, an L1 or L2 bucket (unlinked at
+// cancel), or the far-future heap.
+TEST(EventQueue, CancelledSlotIsReusedWhileItsEntryIsQueued) {
+  const Time kTargets[] = {Time::ps(2000), Time::ns(100), Time::us(100),
+                           Time::ms(10), Time::sec(1)};
+  for (const bool staged : {true, false}) {
+    for (const Time target : kTargets) {
+      SCOPED_TRACE(::testing::Message()
+                   << (staged ? "staged " : "flushed ") << target.picos());
+      EventQueue q;
+      std::vector<int> order;
+      q.schedule(Time::ps(1000), [&] { order.push_back(0); });
+      const TimerId a = q.schedule(target, [&] { order.push_back(1); });
+      if (!staged) {
+        ASSERT_TRUE(q.step());  // flushes `a`, fires the first event
+      }
+      q.cancel(a);
+      const TimerId b =
+          q.schedule(target + Time::ps(1), [&] { order.push_back(2); });
+      EXPECT_EQ(b.key & kSlotMask, a.key & kSlotMask);
+      q.cancel(a);  // stale: must not touch b
+      EXPECT_EQ(q.pending(), staged ? 2u : 1u);
+      q.run();
+      EXPECT_EQ(order, (std::vector<int>{0, 2}));
+      EXPECT_EQ(q.cancelled(), 1u);
+      EXPECT_EQ(q.pool_slots(), 2u);
+      EXPECT_EQ(q.wheel_entries(), 0u);
+      EXPECT_EQ(q.heap_entries(), 0u);
+    }
+  }
+}
+
+// The RTO pattern of every window-based transport: each "ACK" cancels a
+// connection's retransmission timer and re-arms it 10 ms out, between
+// near-future events. Storage must track the live events, not the re-arms:
+// a queue that keeps a cancelled timer's slot and wheel node until its
+// deadline holds one of each per ACK of the last 10 ms (~7,700 here).
+TEST(EventQueue, RtoChurnReclaimsStorageAtCancelTime) {
+  constexpr int kTimers = 8;
+  EventQueue q;
+  TimerId rto[kTimers];
+  uint64_t acks = 0;
+  uint64_t rto_fires = 0;
+  size_t max_slots = 0;
+  size_t max_wheel_excess = 0;  // wheel entries beyond the live events
+  std::function<void()> ack = [&] {
+    const int i = static_cast<int>(acks++ % kTimers);
+    q.cancel(rto[i]);
+    rto[i] = q.schedule(q.now() + Time::ms(10), [&] { ++rto_fires; });
+    // A near-future hop alongside the next ACK.
+    q.schedule(q.now() + Time::ns(300 + 37 * (acks % 11)), [] {});
+    if (q.now() < Time::ms(40)) {
+      q.schedule(q.now() + Time::ns(1000 + 100 * (acks % 7)), ack);
+    }
+    max_slots = std::max(max_slots, q.pool_slots());
+    if (q.wheel_entries() > q.pending()) {
+      max_wheel_excess =
+          std::max(max_wheel_excess, q.wheel_entries() - q.pending());
+    }
+  };
+  for (int i = 0; i < kTimers; ++i) {
+    rto[i] = q.schedule(Time::ms(10), [&] { ++rto_fires; });
+  }
+  q.schedule(Time::ns(1), ack);
+  q.run();
+  EXPECT_GT(acks, 30'000u);
+  EXPECT_EQ(rto_fires, static_cast<uint64_t>(kTimers));  // only the last
+  EXPECT_EQ(q.cancelled(), acks);
+  // kTimers RTOs + the pending ACK + at most a few hops in flight.
+  EXPECT_LE(max_slots, static_cast<size_t>(kTimers) + 6);
+  EXPECT_LE(max_wheel_excess, 2u);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.wheel_entries(), 0u);
 }
 
 TEST(EventQueue, DoubleCancelReleasesOnlyOnce) {

@@ -111,6 +111,117 @@ TEST(TimingWheel, SteadyStateRecyclesNodes) {
   EXPECT_EQ(w.node_pool_size(), pool_after_warmup);
 }
 
+// Pops at most `cap` entries. A corrupted chain drains extra (freed) or
+// foreign nodes, which the cap turns into a failed comparison instead of a
+// walk off the end of the wheel's bookkeeping.
+std::vector<uint64_t> drain_keys(TimingWheel& w, size_t cap) {
+  std::vector<uint64_t> keys;
+  while (keys.size() < cap) {
+    const TimingWheel::Entry* e = w.peek();
+    if (e == nullptr) break;
+    keys.push_back(e->key);
+    w.pop();
+  }
+  return keys;
+}
+
+// remove() at L1 and L2: every ordered pair of chain positions out of five
+// nodes in one bucket (head, middle and tail, and each node's neighbour
+// after its predecessor or successor went first), then the only node of a
+// bucket. The five share one L0 bucket too, so a corrupted chain surfaces
+// in a single drain.
+TEST(TimingWheel, RemoveUnlinksAnyChainPosition) {
+  for (const Time base : {Time::us(100), Time::ms(10)}) {  // L1, L2
+    for (int first = 0; first < 5; ++first) {
+      for (int second = 0; second < 5; ++second) {
+        if (second == first) continue;
+        SCOPED_TRACE(::testing::Message() << base.picos() << " remove "
+                                          << first << " then " << second);
+        TimingWheel w;
+        uint32_t node[5];
+        // Linked at the chain head: key 5 is the head, key 1 the tail.
+        for (int i = 0; i < 5; ++i) {
+          ASSERT_TRUE(w.try_schedule(base + Time::ps(i), i + 1, &node[i]));
+          ASSERT_NE(node[i], TimingWheel::kNoNode);
+        }
+        EXPECT_TRUE(w.remove(node[first], first + 1));
+        EXPECT_FALSE(w.remove(node[first], first + 1));  // already gone
+        EXPECT_TRUE(w.remove(node[second], second + 1));
+        EXPECT_EQ(w.pending(), 3u);
+        std::vector<uint64_t> want;
+        for (int i = 0; i < 5; ++i) {
+          if (i != first && i != second) want.push_back(i + 1);
+        }
+        ASSERT_EQ(drain_keys(w, want.size() + 1), want);
+        EXPECT_TRUE(w.empty());
+        EXPECT_EQ(w.node_pool_size(), 5u);
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << base.picos() << " only node");
+    TimingWheel w;
+    uint32_t only;
+    ASSERT_TRUE(w.try_schedule(base, 7, &only));
+    ASSERT_TRUE(w.try_schedule(base + Time::us(600), 8));  // a later bucket
+    EXPECT_TRUE(w.remove(only, 7));
+    EXPECT_EQ(w.pending(), 1u);
+    ASSERT_EQ(drain_keys(w, 2), (std::vector<uint64_t>{8}));
+    EXPECT_EQ(w.peek(), nullptr);
+  }
+}
+
+// Removed nodes are recycled, so a wheel whose upper-level entries are all
+// cancelled before they cascade keeps a node pool the size of its live
+// entries; what does cascade still pops in exact (t, key) order.
+TEST(TimingWheel, RemoveThenCascade) {
+  TimingWheel w;
+  uint64_t key = 1;
+  std::vector<std::pair<Time, uint64_t>> kept;
+  for (int round = 0; round < 200; ++round) {
+    uint32_t node;
+    const Time t = Time::us(50 + 7 * round);
+    // Three entries per round across L1 and L2; two are cancelled at once
+    // (the RTO re-arm), the third is kept and must cascade intact.
+    ASSERT_TRUE(w.try_schedule(t + Time::ms(9), key, &node));
+    EXPECT_TRUE(w.remove(node, key++));
+    ASSERT_TRUE(w.try_schedule(t, key, &node));
+    EXPECT_TRUE(w.remove(node, key++));
+    ASSERT_TRUE(w.try_schedule(t + Time::ms(round % 3), key));
+    kept.emplace_back(t + Time::ms(round % 3), key++);
+  }
+  EXPECT_EQ(w.pending(), kept.size());
+  EXPECT_LE(w.node_pool_size(), kept.size() + 1);
+  std::sort(kept.begin(), kept.end());
+  std::vector<uint64_t> want;
+  for (const auto& [t, k] : kept) want.push_back(k);
+  ASSERT_EQ(drain_keys(w, want.size() + 1), want);
+  EXPECT_TRUE(w.empty());
+}
+
+// remove() must leave alone any node it can no longer unlink: one drained
+// into the ready run (its entry pops anyway; the owning queue skips it),
+// one on an L0 chain, and a freed node reused for another key.
+TEST(TimingWheel, RemoveIsANoOpOnceANodeLeftItsChain) {
+  TimingWheel w;
+  uint32_t n1, n2, l0, late;
+  ASSERT_TRUE(w.try_schedule(Time::us(100), 1, &n1));
+  ASSERT_TRUE(w.try_schedule(Time::us(100) + Time::ps(1), 2, &n2));
+  const TimingWheel::Entry* e = w.peek();  // cascades and drains both
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->key, 1u);
+  EXPECT_FALSE(w.remove(n1, 1));  // drained: in the ready run now
+  EXPECT_EQ(w.pending(), 2u);
+  // Late insert behind the cursor: merged into the ready run, no node.
+  ASSERT_TRUE(w.try_schedule(Time::us(100) + Time::ps(2), 3, &late));
+  EXPECT_EQ(late, TimingWheel::kNoNode);
+  // The drained nodes are free; the next bucketed entry reuses one.
+  ASSERT_TRUE(w.try_schedule(Time::us(101), 4, &l0));
+  ASSERT_TRUE(l0 == n1 || l0 == n2);
+  EXPECT_FALSE(w.remove(l0, l0 == n1 ? 1 : 2));  // stale key
+  EXPECT_FALSE(w.remove(l0, 4));  // L0 chains have no back-links
+  EXPECT_EQ(w.pending(), 4u);
+  EXPECT_EQ(drain_keys(w, 5), (std::vector<uint64_t>{1, 2, 3, 4}));
+}
+
 // A randomized, self-perpetuating event workload that replays identically on
 // any queue with the EventQueue schedule/cancel/now API. Random draws happen
 // only in start() and inside callbacks, so two queues that fire the same
@@ -196,9 +307,11 @@ class Workload {
         if (next() % 8 == 0) cancel(static_cast<int>(next() % timers_.size()));
       }
       if (next() % 16 == 0 && !pending_.empty()) {
-        // RTO pattern: the earliest pending timer is cancelled and re-armed.
+        // RTO pattern: the earliest pending timer is cancelled and re-armed
+        // 1-20 ms out, filling L2 chains that random cancels then hit at
+        // every position.
         cancel(pending_.begin()->second);
-        add(q_.now() + Time::us(static_cast<int64_t>(next() % 500)));
+        add(q_.now() + Time::us(1000 + static_cast<int64_t>(next() % 19000)));
       }
       if (next() % 16 == 0) cancel(add(q_.now() + delay()));
     }

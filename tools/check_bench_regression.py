@@ -9,10 +9,13 @@ Compares the *speedup_vs_seed* ratios for schedule_fire and churn, not the
 absolute ops/sec: the committed baseline was measured on the maintainer's
 machine, a CI runner's absolute throughput tells us nothing. The ratio is
 in-binary (new queue vs the seed queue, bench/seed_event_queue.hpp, under
-identical flags on the same host), so it is hardware-normalized — a >20% drop means the event core
-itself got slower relative to its fixed reference, not that the runner was
-slow. The fresh run may use --ops far below the committed default; the ratio
-is noisier there, which is why the gate is 20% and only two metrics.
+identical flags on the same host), so it is hardware-normalized — a >20%
+drop means the event core itself got slower relative to its fixed
+reference, not that the runner was slow. Both files are BENCH_core.json
+schema 2: each ratio is the median over interleaved (new, seed) pairs, and
+the gate reads that median. The fresh run may use --ops far below the
+committed default; the ratio is noisier there, which is why the gate is 20%
+and only two metrics.
 
 With --hotpath, also gates the fig15 work counters of a fresh
 BENCH_hotpath.json against the committed one. The scenario is deterministic,
@@ -52,13 +55,21 @@ def main() -> int:
         fresh = json.load(f)
 
     failures = []
+    for doc, path in ((committed, args.committed), (fresh, args.fresh)):
+        if doc.get("schema_version") != 2:
+            print(f"{path}: expected BENCH_core schema_version 2 (median "
+                  f"speedup_vs_seed over interleaved pairs)", file=sys.stderr)
+            return 1
     for metric in ("schedule_fire", "churn"):
-        base = committed["speedup_vs_seed"][metric]
-        now = fresh["speedup_vs_seed"][metric]
+        base = committed["speedup_vs_seed"][metric]["median"]
+        cell = fresh["speedup_vs_seed"][metric]
+        now = cell["median"]
         ratio = now / base
         status = "OK" if ratio >= 1.0 - args.threshold else "REGRESSION"
-        print(f"{metric:14s} speedup_vs_seed: committed {base:.3f}, "
-              f"fresh {now:.3f} ({ratio:.2%} of committed) {status}")
+        print(f"{metric:14s} speedup_vs_seed: committed median {base:.3f}, "
+              f"fresh median {now:.3f} over {cell['pairs']} pairs (min "
+              f"{cell['min']:.3f}, max {cell['max']:.3f}; {ratio:.2%} of "
+              f"committed) {status}")
         if status != "OK":
             failures.append(metric)
 
