@@ -230,6 +230,7 @@ class Parser {
         fail("expected object key");
         return std::nullopt;
       }
+      const size_t key_pos = pos_;
       auto key = string();
       if (!key) return std::nullopt;
       if (!consume(':')) {
@@ -238,7 +239,13 @@ class Parser {
       }
       auto v = value();
       if (!v) return std::nullopt;
+      const size_t n = out.members().size();
       out.set(*key, std::move(*v));
+      if (out.members().size() == n) {  // set() replaced an earlier member
+        pos_ = key_pos;
+        fail("duplicate key '" + *key + "'");
+        return std::nullopt;
+      }
       if (consume('}')) return out;
       if (!consume(',')) {
         fail("expected ',' or '}'");
@@ -334,11 +341,6 @@ const Json* Json::find(const std::string& key) const {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-bool Json::get_bool(const std::string& key, bool fallback) const {
-  const Json* v = find(key);
-  return v != nullptr ? v->as_bool(fallback) : fallback;
 }
 
 double Json::get_double(const std::string& key, double fallback) const {

@@ -11,7 +11,8 @@
 //   * no dependencies — the container has no JSON library and must not
 //     grow one.
 // Parse errors carry a byte offset; the grammar is plain RFC 8259 minus
-// \uXXXX surrogate pairs (probe/scenario names are ASCII).
+// \uXXXX surrogate pairs (probe/scenario names are ASCII), and an object
+// that repeats a key is an error rather than a silent last-one-wins.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,9 @@ class Json {
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
+  // A number written as an unsigned integer literal (or built by u64()):
+  // as_u64() is then exact. Signs, fractions and exponents are not.
+  bool is_u64() const { return type_ == Type::kNumber && num_is_u64_; }
 
   // Typed reads. Wrong-type access returns the neutral value (false / 0 /
   // empty); callers that care test type() or use find() + has-checks.
@@ -58,7 +62,6 @@ class Json {
     return members_;
   }
   // Typed object lookups with fallback for absent/mistyped members.
-  bool get_bool(const std::string& key, bool fallback) const;
   double get_double(const std::string& key, double fallback) const;
   uint64_t get_u64(const std::string& key, uint64_t fallback) const;
   std::string get_string(const std::string& key,

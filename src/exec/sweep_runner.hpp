@@ -13,11 +13,11 @@
 //  * Task isolation: run_tasks() catches every task exception where it
 //    happens, retries per RetryPolicy (exponential backoff with seeded
 //    jitter), and records a per-task TaskOutcome — one crashing task is a
-//    quarantinable data point, not a dead campaign. The legacy map()/
-//    for_each() keep fail-fast semantics (first exception rethrown on the
-//    caller), but cooperatively cancel: once a task has failed, workers
-//    stop *scheduling* new tasks instead of burning CPU on a sweep whose
-//    result is already doomed.
+//    quarantinable data point, not a dead campaign. The legacy map() keeps
+//    fail-fast semantics (first exception rethrown on the caller), but
+//    cooperatively cancels: once a task has failed, workers stop
+//    *scheduling* new tasks instead of burning CPU on a sweep whose result
+//    is already doomed.
 //
 // With jobs == 1 (or a single task) everything runs inline on the caller's
 // thread — no pool, no atomics — which is also the mode the determinism
@@ -100,13 +100,6 @@ class SweepRunner {
     return results;
   }
 
-  // Runs fn(i) for every i in [0, n); fn writes its own output. Same
-  // fail-fast + cancellation semantics as map().
-  template <typename Fn>
-  void for_each(size_t n, Fn&& fn) {
-    run_indexed(n, std::forward<Fn>(fn));
-  }
-
   // Isolated execution: fn(i) returns a TaskStatus (or void, meaning kOk on
   // normal return) and may throw. Every exception is caught in the worker,
   // the task is retried per `policy`, and the final disposition lands in
@@ -175,8 +168,8 @@ class SweepRunner {
     for (std::thread& t : pool) t.join();
   }
 
-  // Fail-fast core for map()/for_each(): the first exception is captured,
-  // cancels further scheduling, and is rethrown after the drain.
+  // Fail-fast core for map(): the first exception is captured, cancels
+  // further scheduling, and is rethrown after the drain.
   template <typename Body>
   void run_indexed(size_t n, Body&& body) {
     const size_t workers = jobs_ < n ? jobs_ : n;

@@ -25,14 +25,6 @@ bool FaultInjector::recover_link(Node& a, Node& b) {
   return true;
 }
 
-bool FaultInjector::fail_port(Node& a, Node& b, LinkFailMode mode) {
-  Port* pa = topo_.port_between(a, b);
-  if (pa == nullptr) return false;
-  pa->fail(mode);
-  topo_.recompute_routes();
-  return true;
-}
-
 bool FaultInjector::set_link_error(Node& a, Node& b,
                                    const LinkErrorConfig& cfg,
                                    uint64_t seed) {

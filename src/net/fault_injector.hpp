@@ -29,11 +29,6 @@ class FaultInjector {
   bool fail_link(Node& a, Node& b, LinkFailMode mode = LinkFailMode::kDrop);
   bool recover_link(Node& a, Node& b);
 
-  // Kills only the a->b direction. route() requires both directions up, so
-  // a one-way death still excludes the link from ECMP — the paper's
-  // symmetric handling of asymmetric failures.
-  bool fail_port(Node& a, Node& b, LinkFailMode mode = LinkFailMode::kDrop);
-
   // Attaches an error model to the a->b direction (or both). Each direction
   // gets an independent Rng stream derived from `seed`.
   bool set_link_error(Node& a, Node& b, const LinkErrorConfig& cfg,

@@ -191,15 +191,7 @@ class Port {
   size_t bp_tracked_flows() const { return bp_live_; }
 
   // Link-failure modeling (§3.1 mentions excluding failed links from ECMP;
-  // route() excludes a link unless both directions are up). set_up is the
-  // legacy admin toggle: down == fail(kDrain), up == recover().
-  void set_up(bool up) {
-    if (up) {
-      recover();
-    } else {
-      fail(LinkFailMode::kDrain);
-    }
-  }
+  // route() excludes a link unless both directions are up).
   bool is_up() const { return up_; }
   // Takes this direction of the link down. kDrop flushes the queues (counted
   // as drops) and loses frames already on the wire; kDrain preserves both.

@@ -608,7 +608,7 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
     res.invariant_messages = checker.messages();
   }
 
-  // Mirror every standard scalar into the recorder so JSON/CSV emission is
+  // Mirror every standard scalar into the recorder so JSON emission is
   // uniform across scenarios, then freeze it for return.
   rec.set("time.end_sec", res.end_time.to_sec());
   rec.set("goodput.sum_bps", res.sum_rate_bps);

@@ -291,7 +291,7 @@ struct ScenarioResult {
   bool aborted = false;
   std::string abort_reason;  // sim::abort_reason_name spelling
 
-  // Every scalar above plus any registered probe, for uniform JSON/CSV
+  // Every scalar above plus any registered probe, for uniform JSON
   // emission (gauges are detached — safe to keep past the run).
   stats::Recorder recorder;
 };

@@ -24,32 +24,15 @@ void FaultPlan::window(Time from, Time to, std::string label,
 void FaultPlan::arm(Simulator& sim) {
   assert(!armed_ && "FaultPlan: arm() twice");
   armed_ = true;
-  timers_.reserve(events_.size());
   // Events hold stable addresses from here on (no additions after arm).
   for (Event& e : events_) {
     Event* ev = &e;
-    timers_.push_back(sim.at(ev->when, [this, ev] {
+    sim.at(ev->when, [this, ev] {
       active_windows_ += ev->window_delta;
       ++fired_;
       if (ev->action) ev->action();
-    }));
+    });
   }
-}
-
-void FaultPlan::disarm(Simulator& sim) {
-  for (const TimerId& id : timers_) sim.cancel(id);
-  timers_.clear();
-}
-
-std::vector<Time> FaultPlan::poisson_times(Time from, Time to,
-                                           Time mean_gap) {
-  std::vector<Time> out;
-  Time t = from + Time::seconds(rng_.exponential(mean_gap.to_sec()));
-  while (t < to) {
-    out.push_back(t);
-    t += Time::seconds(rng_.exponential(mean_gap.to_sec()));
-  }
-  return out;
 }
 
 }  // namespace xpass::sim

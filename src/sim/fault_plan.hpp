@@ -3,9 +3,9 @@
 // A plan is built offline from absolute times and opaque actions, then armed
 // on a Simulator, which schedules every event through the ordinary event
 // queue — faults are just events, so a run remains bit-reproducible for a
-// given (traffic seed, plan seed) pair. The plan carries its own PRNG so
-// randomized fault schedules (Poisson flap times, sampled outage lengths)
-// never perturb the traffic seed's stream.
+// given (traffic seed, plan seed) pair. The plan carries its own PRNG (it
+// seeds the per-link error models) so fault randomness never perturbs the
+// traffic seed's stream.
 //
 // Windowed faults (link down .. up) maintain an active-window refcount that
 // the InvariantChecker uses to gate "healthy network only" assertions such
@@ -39,8 +39,6 @@ class FaultPlan {
   // Schedules every event on `sim`. Call once, after all at()/window()
   // additions (adding to an armed plan is a programming error).
   void arm(Simulator& sim);
-  // Cancels every not-yet-fired event; already-open windows stay counted.
-  void disarm(Simulator& sim);
 
   size_t size() const { return events_.size(); }
   bool armed() const { return armed_; }
@@ -52,10 +50,6 @@ class FaultPlan {
   bool any_fault_fired() const { return fired_ > 0; }
 
   Rng& rng() { return rng_; }
-  // Sorted Poisson arrival times in [from, to) with the given mean gap,
-  // drawn from the plan's PRNG. Deterministic for a given seed and call
-  // sequence.
-  std::vector<Time> poisson_times(Time from, Time to, Time mean_gap);
 
  private:
   struct Event {
@@ -67,7 +61,6 @@ class FaultPlan {
 
   Rng rng_;
   std::vector<Event> events_;
-  std::vector<TimerId> timers_;
   bool armed_ = false;
   int active_windows_ = 0;
   uint64_t fired_ = 0;

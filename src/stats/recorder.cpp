@@ -87,17 +87,4 @@ std::string Recorder::to_json(const std::string& scenario_name) const {
   return out;
 }
 
-std::string Recorder::series_csv(const std::string& name) const {
-  auto it = series_.find(name);
-  if (it == series_.end()) return {};
-  std::string out = "t_sec,value\n";
-  char buf[80];
-  for (size_t i = 0; i < it->second.t_sec.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%.9f,%.17g\n", it->second.t_sec[i],
-                  it->second.v[i]);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace xpass::stats

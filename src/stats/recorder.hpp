@@ -4,8 +4,7 @@
 // (net::Topology, runner::FlowDriver, core::ExpressPass) register probes via
 // their register_telemetry() hooks instead of every bench polling counters
 // by hand; the ScenarioEngine drives sampling and finally emits everything
-// as schema-tagged JSON (the same flow the BENCH_*.json artifacts use) or
-// per-series CSV.
+// as schema-tagged JSON (the same flow the BENCH_*.json artifacts use).
 //
 // Two probe styles:
 //   * push — set(name, v) / sample(name, t, v) record a value immediately;
@@ -126,8 +125,6 @@ class Recorder {
   // Budget-truncated runs add "aborted": true and "abort_reason": <string>
   // between "scenario" and "scalars"; healthy runs omit both keys.
   std::string to_json(const std::string& scenario_name) const;
-  // "t_sec,value\n" rows for one series; empty string if unknown.
-  std::string series_csv(const std::string& name) const;
 
  private:
   uint64_t rejected_ = 0;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "check/generator.hpp"
 #include "check/json.hpp"
@@ -13,7 +18,9 @@ using xpass::check::GenOptions;
 using xpass::check::generate_spec;
 using xpass::check::Json;
 using xpass::check::spec_from_json;
+using xpass::check::spec_from_json_doc;
 using xpass::check::spec_to_json;
+using xpass::check::spec_to_json_doc;
 using xpass::runner::ScenarioSpec;
 using xpass::sim::Time;
 
@@ -77,12 +84,19 @@ TEST(Json, ParseErrorsCarryOffset) {
   }
 }
 
+TEST(Json, DuplicateKeysAreRejected) {
+  // Last-one-wins would let a repeated member silently override the first.
+  std::string err;
+  EXPECT_FALSE(Json::parse(R"({"a": 1, "b": {"c": 2, "c": 3}})", &err));
+  EXPECT_NE(err.find("offset 23"), std::string::npos) << err;
+  EXPECT_NE(err.find("duplicate key 'c'"), std::string::npos) << err;
+}
+
 TEST(Json, WrongTypeAccessIsNeutral) {
   Json doc = Json::object();
   doc.set("s", Json::str("text"));
   EXPECT_EQ(doc.get_u64("s", 7), 7u);
   EXPECT_EQ(doc.get_double("s", 1.5), 1.5);
-  EXPECT_FALSE(doc.get_bool("s", false));
   EXPECT_EQ(doc.get_string("absent", "fb"), "fb");
 }
 
@@ -286,6 +300,106 @@ TEST(SpecJson, RejectsShardedSpecs) {
           .has_value());
   EXPECT_NE(err.find("shards"), std::string::npos) << err;
   EXPECT_NE(err.find("sharded engine was removed"), std::string::npos) << err;
+}
+
+TEST(SpecJson, RejectsWhatTheTableDoesNotDescribe) {
+  // Each document names a member wrongly, gives it the wrong type or an
+  // out-of-range value, or repeats it; none may load with defaults or a
+  // wrapped value in its place. The error names the member's path.
+  const struct {
+    const char* members;  // inside {"schema":"xpass.scenario.v1", ...}
+    const char* error;
+  } cases[] = {
+      {R"("traffic":{"flow":64})", "unknown member 'traffic.flow'"},
+      {R"("stop":{"horizon_ms":5})", "unknown member 'stop.horizon_ms'"},
+      {R"("topology":{"clos":{"pod":8}})",
+       "unknown member 'topology.clos.pod'"},
+      {R"("xp":{"alpha":0.0625})", "unknown member 'xp.alpha'"},
+      {R"("seeed":7)", "unknown member 'seeed'"},
+      {R"("flow_groups":[{"protocol":"cubic"},{"shares":2}])",
+       "unknown member 'flow_groups[1].shares'"},
+      {R"("traffic":{"flows":"64"})", "'traffic.flows': expected an integer"},
+      {R"("check_invariants":"yes")", "'check_invariants': expected true"},
+      {R"("topology":"clos")", "'topology': expected an object"},
+      {R"("flow_groups":{"protocol":"cubic"})",
+       "'flow_groups': expected an array"},
+      {R"("traffic":{"flows":-3})", "'traffic.flows': expected an integer"},
+      {R"("traffic":{"flows":2.5})", "'traffic.flows': expected an integer"},
+      {R"("traffic":{"flows":1e30})", "'traffic.flows': expected an integer"},
+      {R"("traffic":{"flow_id_salt":4294967296})",
+       "'traffic.flow_id_salt': expected an integer in [0, 4294967295]"},
+      {R"("xp":{"traffic_class":300})",
+       "'xp.traffic_class': expected an integer in [0, 255]"},
+      {R"("stop":{"horizon_ps":18446744073709551615})",
+       "'stop.horizon_ps': expected an integer in [0, 9223372036854775807]"},
+      {R"("traffic":{"flows":8,"flows":64})", "duplicate key 'flows'"},
+  };
+  for (const auto& c : cases) {
+    const std::string doc =
+        std::string(R"({"schema":"xpass.scenario.v1",)") + c.members + "}";
+    std::string err;
+    EXPECT_FALSE(spec_from_json(doc, &err).has_value()) << "accepted: " << doc;
+    EXPECT_NE(err.find(c.error), std::string::npos)
+        << doc << "\n  error: " << err << "\n  wanted: " << c.error;
+  }
+}
+
+TEST(SpecJson, RejectsUnknownMembersPastTheFirst64) {
+  // Members are marked as read in a 64-bit mask. An object with more
+  // members than that must still fail, even when its known members come
+  // last, and the error must name a member that really is unknown.
+  std::string traffic;
+  for (int i = 0; i < 70; ++i) traffic += "\"x" + std::to_string(i) + "\":1,";
+  std::string err;
+  EXPECT_FALSE(spec_from_json(R"({"schema":"xpass.scenario.v1","traffic":{)" +
+                                  traffic + R"("flows":3}})",
+                              &err)
+                   .has_value());
+  EXPECT_NE(err.find("unknown member 'traffic.x0'"), std::string::npos) << err;
+}
+
+// Strictness must never reject a document the repo depends on: every
+// committed benchmark spec and fuzzer repro loads, and re-emits its spec
+// byte for byte.
+std::vector<std::filesystem::path> json_files(const char* dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".json") out.push_back(e.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(SpecJson, CommittedSpecsReEmitByteForByte) {
+  const auto files = json_files(XPASS_BENCHMARK_SPEC_DIR);
+  EXPECT_GE(files.size(), 15u);
+  for (const auto& path : files) {
+    const std::string text = read_file(path);
+    std::string err;
+    auto spec = spec_from_json(text, &err);
+    ASSERT_TRUE(spec.has_value()) << path << ": " << err;
+    EXPECT_EQ(spec_to_json(*spec), text) << path;
+  }
+}
+
+TEST(SpecJson, CommittedReprosReEmitTheirSpec) {
+  const auto files = json_files(XPASS_REPRO_DIR);
+  EXPECT_GE(files.size(), 3u);
+  for (const auto& path : files) {
+    std::string err;
+    auto doc = Json::parse(read_file(path), &err);
+    ASSERT_TRUE(doc.has_value()) << path << ": " << err;
+    const Json* embedded = doc->find("spec");
+    ASSERT_NE(embedded, nullptr) << path;
+    auto spec = spec_from_json_doc(*embedded, &err);
+    ASSERT_TRUE(spec.has_value()) << path << ": " << err;
+    EXPECT_EQ(spec_to_json_doc(*spec).dump(2), embedded->dump(2)) << path;
+  }
 }
 
 TEST(SpecJson, TimesSurviveAsExactPicoseconds) {

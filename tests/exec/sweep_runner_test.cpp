@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/sweep_runner.hpp"
@@ -49,16 +50,23 @@ TEST(SweepRunner, InlineWhenSingleJob) {
   exec::SweepRunner pool(1);
   EXPECT_EQ(pool.jobs(), 1u);
   std::atomic<int> calls{0};
-  pool.for_each(10, [&](size_t) { ++calls; });
+  const auto threads = pool.map(10, [&](size_t) {
+    ++calls;
+    return std::this_thread::get_id();
+  });
   EXPECT_EQ(calls.load(), 10);
+  for (const std::thread::id t : threads) {
+    EXPECT_EQ(t, std::this_thread::get_id());
+  }
 }
 
 TEST(SweepRunner, ExceptionPropagatesToCaller) {
   exec::SweepRunner pool(4);
-  EXPECT_THROW(pool.for_each(16,
-                             [](size_t i) {
-                               if (i == 3) throw std::runtime_error("task 3");
-                             }),
+  EXPECT_THROW(pool.map(16,
+                        [](size_t i) {
+                          if (i == 3) throw std::runtime_error("task 3");
+                          return i;
+                        }),
                std::runtime_error);
 }
 

@@ -67,15 +67,15 @@ TEST(Failure, DownLinkExcludedFromEcmp) {
   // Find the two uplink candidates toward a cross-pod host and fail one.
   const auto& cands = edge->candidates(ft.hosts.back()->id());
   ASSERT_EQ(cands.size(), 2u);
-  cands[0]->set_up(false);
+  cands[0]->fail(LinkFailMode::kDrain);
   // Every flow now routes over the surviving uplink.
   for (FlowId f = 1; f <= 100; ++f) {
     EXPECT_EQ(edge->route(ft.hosts[0]->id(), ft.hosts.back()->id(), f),
               cands[1]);
   }
   // Unidirectional failure (reverse side down) excludes the link too.
-  cands[0]->set_up(true);
-  cands[0]->peer()->set_up(false);
+  cands[0]->recover();
+  cands[0]->peer()->fail(LinkFailMode::kDrain);
   for (FlowId f = 1; f <= 100; ++f) {
     EXPECT_EQ(edge->route(ft.hosts[0]->id(), ft.hosts.back()->id(), f),
               cands[1]);
@@ -89,7 +89,7 @@ TEST(Failure, AllLinksDownMeansUnroutable) {
   auto ft = build_fat_tree(topo, 4, cfg, cfg);
   Switch* edge = ft.edges[0];
   const auto& cands = edge->candidates(ft.hosts.back()->id());
-  for (Port* c : cands) c->set_up(false);
+  for (Port* c : cands) c->fail(LinkFailMode::kDrain);
   ft.hosts[0]->send(
       make_data(1, ft.hosts[0]->id(), ft.hosts.back()->id(), 0, 1000));
   sim.run();
@@ -108,8 +108,8 @@ TEST(Failure, TrafficFlowsOverSurvivingPath) {
     for (size_t i = 0; i < edge->num_ports(); ++i) {
       Port& p = edge->port(i);
       if (p.peer()->owner().kind() == Node::Kind::kSwitch) {
-        p.set_up(false);
-        p.peer()->set_up(false);
+        p.fail(LinkFailMode::kDrain);
+        p.peer()->fail(LinkFailMode::kDrain);
         break;
       }
     }

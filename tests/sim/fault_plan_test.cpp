@@ -62,38 +62,5 @@ TEST(FaultPlan, OverlappingWindowsRefcount) {
   EXPECT_EQ(plan.active_windows(), 0);
 }
 
-TEST(FaultPlan, DisarmCancelsPendingEvents) {
-  Simulator sim;
-  FaultPlan plan;
-  int fired = 0;
-  plan.at(Time::us(10), "x", [&] { ++fired; });
-  plan.at(Time::us(50), "y", [&] { ++fired; });
-  plan.arm(sim);
-  sim.run_until(Time::us(20));
-  plan.disarm(sim);
-  sim.run_until(Time::us(100));
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(FaultPlan, PoissonTimesDeterministicSortedAndBounded) {
-  FaultPlan a(42), b(42), c(43);
-  const auto ta = a.poisson_times(Time::ms(1), Time::ms(50), Time::ms(2));
-  const auto tb = b.poisson_times(Time::ms(1), Time::ms(50), Time::ms(2));
-  const auto tc = c.poisson_times(Time::ms(1), Time::ms(50), Time::ms(2));
-  EXPECT_EQ(ta, tb);  // same seed, same schedule
-  EXPECT_NE(ta, tc);  // different seed, different schedule
-  ASSERT_FALSE(ta.empty());
-  for (size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_GE(ta[i], Time::ms(1));
-    EXPECT_LT(ta[i], Time::ms(50));
-    if (i > 0) {
-      EXPECT_GE(ta[i], ta[i - 1]);
-    }
-  }
-  // ~24-25 expected arrivals; allow wide slack, just not degenerate.
-  EXPECT_GT(ta.size(), 5u);
-  EXPECT_LT(ta.size(), 100u);
-}
-
 }  // namespace
 }  // namespace xpass::sim

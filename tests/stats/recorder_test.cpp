@@ -160,16 +160,6 @@ TEST(Recorder, EmptySeriesAndEmptyRecorderJson) {
   EXPECT_NE(empty.find("\"schema\": \"xpass.recorder.v1\""),
             std::string::npos);
   EXPECT_NE(empty.find("\"scalars\""), std::string::npos);
-  // CSV of a never-sampled series behaves like a missing one.
-  EXPECT_EQ(r.series_csv("quiet"), "");
-}
-
-TEST(Recorder, SeriesCsv) {
-  Recorder r;
-  r.sample("q", 0.5, 12.0);
-  r.sample("q", 1.0, 13.0);
-  EXPECT_EQ(r.series_csv("q"), "t_sec,value\n0.500000000,12\n1.000000000,13\n");
-  EXPECT_EQ(r.series_csv("missing"), "");
 }
 
 }  // namespace
