@@ -1,28 +1,17 @@
-// Event-core performance baseline: measures schedule/cancel/fire throughput
-// of sim::EventQueue against the seed implementation (std::function
-// callbacks, std::priority_queue, tombstone set; bench/seed_event_queue.hpp),
-// plus end-to-end events/sec on the Fig-15 flow-scalability scenario, and
-// emits the results as BENCH_core.json (schema documented in EXPERIMENTS.md).
+// Event-core microbenchmarks: measures schedule/cancel/fire throughput of
+// sim::EventQueue against the seed implementation (std::function callbacks,
+// std::priority_queue, tombstone set; bench/seed_event_queue.hpp), compiled
+// into this binary with identical flags, and emits the ratios as
+// BENCH_core.json (schema documented in EXPERIMENTS.md). Later changes
+// compare a fresh run against the committed file. Usage:
 //
-// It also emits BENCH_hotpath.json: per-packet-hop event accounting for the
-// fig15 scenario (events, packet hops, kicks, shaper retries, wheel/heap
-// routing, steady-state allocations), the comparison against the committed
-// baseline throughput, and the 12-point scalability sweep timed at
-// --jobs 1 vs --jobs N with a byte-identity check on the reduced rows.
+//   bench_core [core.json] [--ops=N]
 //
-// This seeds the repo's perf trajectory: later PRs compare their committed
-// BENCH_core.json against this one. Usage:
-//
-//   bench_core [core.json] [hotpath.json] [--ops=N] [--repeats=N]
-//              [--sweep-jobs=N] [--no-sweep]
-//
-// Defaults: ./BENCH_core.json ./BENCH_hotpath.json, ops = 2^21, repeats = 3,
-// sweep-jobs = hardware concurrency. Each microbench runs 7 interleaved
-// (EventQueue, seed queue) pairs and records the median per-pair ratio.
-// --ops shrinks the microbenches for CI smoke runs (the committed JSONs must
-// be regenerated with the default).
-// Both output files are opened before any benchmarking, so a bad path or
-// flag fails at once.
+// Defaults: ./BENCH_core.json, ops = 2^21. Each microbench runs 7
+// interleaved (EventQueue, seed queue) pairs and records the median
+// per-pair ratio. --ops shrinks the microbenches for CI smoke runs (the
+// committed JSON must be regenerated with the default). The output file is
+// opened before any benchmarking, so a bad path or flag fails at once.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,10 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/alloc_probe.hpp"
-#include "bench/common.hpp"
 #include "bench/seed_event_queue.hpp"
-#include "net/topology_builders.hpp"
+#include "runner/args.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -42,17 +29,14 @@ using namespace xpass;
 using bench::SeedEventQueue;
 using sim::Time;
 
-// ---- Microbenchmarks -----------------------------------------------------
-
 double now_sec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-size_t g_ops = 1 << 21;            // primitive cycles per microbench (--ops)
-size_t g_scenario_repeats = 3;     // best-of-N scenario timing (--repeats)
-constexpr size_t kBatch = 4096;    // pending events per drain batch
+size_t g_ops = 1 << 21;          // primitive cycles per microbench (--ops)
+constexpr size_t kBatch = 4096;  // pending events per drain batch
 
 uint64_t lcg_next(uint64_t& s) {
   s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -125,160 +109,6 @@ double bench_churn() {
   return static_cast<double>(g_ops) / (now_sec() - t0);
 }
 
-// ---- Fig-15 scenario events/sec and events/packet-hop --------------------
-
-struct ScenarioResult {
-  size_t flows;
-  uint64_t events_fired;
-  uint64_t packet_hops;  // sum of tx_packets over every port in the network
-  uint64_t kick_events;   // serializer-free service wakeups (all ports)
-  uint64_t retry_events;  // shaper token-wait retries (all ports)
-  uint64_t wheel_events;  // events routed through the timing wheel
-  uint64_t heap_events;   // events that overflowed to the far-future heap
-  uint64_t hot_path_allocs;  // allocator calls inside the steady window
-  double wall_sec;
-  double events_per_sec;
-  double events_per_hop;
-  double goodput_gbps;
-};
-
-ScenarioResult bench_fig15(size_t n_flows) {
-  const double t0 = now_sec();
-  sim::Simulator sim(29);
-  net::Topology topo(sim);
-  auto link = runner::protocol_link_config(
-      runner::Protocol::kExpressPass, 10e9, Time::us(1));
-  auto d = net::build_dumbbell(topo, n_flows, link, link);
-  auto t = runner::make_transport(runner::Protocol::kExpressPass, sim, topo,
-                                  Time::us(100));
-  runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  for (size_t i = 0; i < n_flows; ++i) {
-    driver.add(fb.make(d.senders[i], d.receivers[i], transport::kLongRunning,
-                       Time::seconds(sim.rng().uniform(0.0, 5e-3))));
-  }
-  const Time warmup = Time::ms(20);
-  const Time window = Time::ms(50);
-  sim.run_until(warmup);
-  driver.rates().snapshot_rates(warmup);
-  const auto alloc_mark = bench::AllocProbe::mark();
-  sim.run_until(warmup + window);
-  const uint64_t allocs = bench::AllocProbe::since(alloc_mark).allocs;
-  auto rates = driver.rates().snapshot_rates(window);
-  double sum = 0;
-  for (double x : rates) sum += x;
-  ScenarioResult r;
-  r.flows = n_flows;
-  r.events_fired = sim.events().fired();
-  r.kick_events = 0;
-  r.retry_events = 0;
-  r.packet_hops = 0;
-  for (size_t n = 0; n < topo.num_nodes(); ++n) {
-    net::Node& node = topo.node(static_cast<net::NodeId>(n));
-    for (size_t i = 0; i < node.num_ports(); ++i) {
-      r.packet_hops += node.port(i).tx_packets();
-      r.kick_events += node.port(i).kick_events();
-      r.retry_events += node.port(i).retry_events();
-    }
-  }
-  r.wheel_events = sim.events().wheel_scheduled();
-  r.heap_events = sim.events().heap_scheduled();
-  r.hot_path_allocs = allocs;
-  driver.stop_all();
-  r.wall_sec = now_sec() - t0;
-  r.events_per_sec = static_cast<double>(r.events_fired) / r.wall_sec;
-  r.events_per_hop = static_cast<double>(r.events_fired) /
-                     static_cast<double>(r.packet_hops);
-  r.goodput_gbps = sum / 1e9;
-  return r;
-}
-
-// ---- Topology construction: fat-tree build + route computation -----------
-//
-// finalize() runs recompute_routes(), the all-pairs BFS that builds every
-// switch's CSR route table; on large fat trees this dominated large-scale
-// scenario startup before the CSR flattening (the nested table allocated
-// one inner vector per (switch, destination) pair). Best-of-3 wall seconds
-// for build+finalize of a k-ary fat tree.
-
-struct TopoBuildResult {
-  size_t k;
-  size_t hosts;
-  size_t switches;
-  double build_sec;
-};
-
-TopoBuildResult bench_topology_build(size_t k) {
-  TopoBuildResult r;
-  r.k = k;
-  r.build_sec = 1e30;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double t0 = now_sec();
-    sim::Simulator sim(1);
-    net::Topology topo(sim);
-    net::LinkConfig cfg;
-    auto ft = net::build_fat_tree(topo, k, cfg, cfg);
-    r.build_sec = std::min(r.build_sec, now_sec() - t0);
-    r.hosts = ft.hosts.size();
-    r.switches = topo.switches().size();
-  }
-  return r;
-}
-
-// ---- 12-point sweep: --jobs scaling and byte-identity --------------------
-
-struct SweepResult {
-  size_t points = 0;
-  size_t jobs = 1;
-  double wall_jobs1_sec = 0;
-  double wall_jobsN_sec = 0;
-  bool identical_output = false;
-};
-
-std::string sweep_rows(size_t jobs) {
-  const std::vector<runner::Protocol> protos = {
-      runner::Protocol::kExpressPass, runner::Protocol::kDctcp,
-      runner::Protocol::kRcp};
-  const std::vector<size_t> counts = {4, 16, 64, 256};
-  struct Cell {
-    runner::Protocol proto;
-    size_t flows;
-  };
-  std::vector<Cell> grid;
-  for (auto p : protos) {
-    for (size_t n : counts) grid.push_back({p, n});
-  }
-  exec::SweepRunner pool(jobs);
-  const auto cells = pool.map(grid.size(), [&](size_t i) {
-    return bench::scalability_cell(grid[i].proto, grid[i].flows, false);
-  });
-  std::string out;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%d %zu %.9g %.9g %.9g %llu\n",
-                  static_cast<int>(grid[i].proto), grid[i].flows,
-                  cells[i].util_gbps, cells[i].fairness, cells[i].max_q_kb,
-                  static_cast<unsigned long long>(cells[i].drops));
-    out += buf;
-  }
-  return out;
-}
-
-SweepResult bench_sweep(size_t jobs) {
-  SweepResult s;
-  s.points = 12;
-  s.jobs = jobs;
-  const double t0 = now_sec();
-  const std::string serial = sweep_rows(1);
-  const double t1 = now_sec();
-  const std::string parallel = sweep_rows(jobs);
-  const double t2 = now_sec();
-  s.wall_jobs1_sec = t1 - t0;
-  s.wall_jobsN_sec = t2 - t1;
-  s.identical_output = serial == parallel;
-  return s;
-}
-
 // The CI gate reads each microbench's EventQueue/seed ratio, so it is
 // measured as kPairs interleaved pairs: the two queues run back to back,
 // alternating which goes first, and the gate takes the median of the
@@ -320,54 +150,28 @@ Paired paired(double (*fresh)(), double (*seed)()) {
   return {median_of(ops), median_of(seed_ops), median_of(ratio), *lo, *hi};
 }
 
-// Committed-baseline fig15 throughput from BENCH_core.json at the event-core
-// rebuild (PR 1). The hotpath report compares against these constants so the
-// speedup is visible without parsing a second JSON at run time; regenerate
-// them if the committed baseline is ever re-measured.
-constexpr double kBaselineEps64 = 8048926.0;
-constexpr double kBaselineEps256 = 7095552.0;
-constexpr uint64_t kBaselineEvents64 = 1369573;
-constexpr uint64_t kBaselineEvents256 = 5069478;
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr const char* kUsage =
-      "usage: bench_core [core.json] [hotpath.json] [--ops=N] [--repeats=N] "
-      "[--sweep-jobs=N] [--no-sweep]\n";
+  constexpr const char* kUsage = "usage: bench_core [core.json] [--ops=N]\n";
   runner::Args args(argc, argv);
   g_ops = args.u64("ops", g_ops);
-  // Scenario timings take the min over N runs; the trajectory is
-  // deterministic, so more repeats only sharpen the wall-clock estimate on
-  // a noisy (shared-core) host. Counts are identical either way.
-  g_scenario_repeats = args.u64("repeats", g_scenario_repeats);
-  const size_t sweep_jobs = args.u64("sweep-jobs", exec::default_jobs());
-  const bool run_sweep = !args.flag("no-sweep");
   const std::vector<std::string>& positional = args.positional();
   args.die_on_error(kUsage);
-  if (positional.size() > 2) {
+  if (positional.size() > 1) {
     std::fprintf(stderr, "unexpected argument: %s\n%s",
-                 positional[2].c_str(), kUsage);
+                 positional[1].c_str(), kUsage);
     return 2;
   }
-  if (g_ops == 0 || g_scenario_repeats == 0 || sweep_jobs == 0) {
-    std::fprintf(stderr, "--ops, --repeats and --sweep-jobs must be >= 1\n%s",
-                 kUsage);
+  if (g_ops == 0) {
+    std::fprintf(stderr, "--ops must be >= 1\n%s", kUsage);
     return 2;
   }
   const char* core_path =
-      positional.size() > 0 ? positional[0].c_str() : "BENCH_core.json";
-  const char* hotpath_path =
-      positional.size() > 1 ? positional[1].c_str() : "BENCH_hotpath.json";
+      positional.empty() ? "BENCH_core.json" : positional[0].c_str();
   FILE* f = std::fopen(core_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", core_path);
-    return 1;
-  }
-  FILE* h = std::fopen(hotpath_path, "w");
-  if (h == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", hotpath_path);
-    std::fclose(f);
     return 1;
   }
 
@@ -391,62 +195,9 @@ int main(int argc, char** argv) {
                 m.r.min, m.r.max);
   }
 
-  std::printf("fig15 flow-scalability scenario (ExpressPass, dumbbell, "
-              "best of %zu)...\n", g_scenario_repeats);
-  // The scenario is deterministic — every repeat fires the identical event
-  // sequence — so best-of-N only filters scheduler noise out of wall_sec,
-  // exactly as for the microbenches above.
-  const auto best_fig15 = [](size_t flows) {
-    ScenarioResult best = bench_fig15(flows);
-    for (size_t i = 1; i < g_scenario_repeats; ++i) {
-      ScenarioResult r = bench_fig15(flows);
-      if (r.wall_sec < best.wall_sec) best = r;
-    }
-    return best;
-  };
-  std::vector<ScenarioResult> scen;
-  for (size_t flows : {64, 256}) {
-    scen.push_back(best_fig15(flows));
-    const ScenarioResult& r = scen.back();
-    std::printf("  %4zu flows: %llu events in %.2fs -> %.2fM events/s, "
-                "%.2f ev/hop (goodput %.2fG)\n",
-                r.flows, static_cast<unsigned long long>(r.events_fired),
-                r.wall_sec, r.events_per_sec / 1e6, r.events_per_hop,
-                r.goodput_gbps);
-    std::printf("       breakdown: %llu kicks, %llu shaper retries, "
-                "%.1f%% wheel-routed, %llu hot-path allocs\n",
-                static_cast<unsigned long long>(r.kick_events),
-                static_cast<unsigned long long>(r.retry_events),
-                100.0 * static_cast<double>(r.wheel_events) /
-                    static_cast<double>(r.wheel_events + r.heap_events),
-                static_cast<unsigned long long>(r.hot_path_allocs));
-  }
-
-  std::printf("topology construction (fat tree build + routes, best of "
-              "3)...\n");
-  std::vector<TopoBuildResult> topo_builds;
-  for (size_t k : {8, 16}) {
-    topo_builds.push_back(bench_topology_build(k));
-    const TopoBuildResult& t = topo_builds.back();
-    std::printf("  k=%-2zu: %zu hosts, %zu switches, %.3fs\n", t.k, t.hosts,
-                t.switches, t.build_sec);
-  }
-
-  SweepResult sweep;
-  if (run_sweep) {
-    std::printf("12-point scalability sweep (3 protocols x {4,16,64,256} "
-                "flows, jobs=1 vs jobs=%zu)...\n", sweep_jobs);
-    sweep = bench_sweep(sweep_jobs);
-    std::printf("  jobs=1: %.2fs   jobs=%zu: %.2fs   speedup %.2fx   "
-                "output %s\n",
-                sweep.wall_jobs1_sec, sweep.jobs, sweep.wall_jobsN_sec,
-                sweep.wall_jobs1_sec / sweep.wall_jobsN_sec,
-                sweep.identical_output ? "byte-identical" : "DIVERGED");
-  }
-
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"core\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"config\": {\"ops_per_microbench\": %zu, "
                   "\"batch\": %zu, \"pairs\": %zu},\n", g_ops, kBatch, kPairs);
   const size_t n_micro = std::size(micro);
@@ -470,94 +221,9 @@ int main(int argc, char** argv) {
                  micro[i].name, r.median, r.min, r.max, kPairs,
                  i + 1 < n_micro ? "," : "");
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fig15_scenario\": [\n");
-  for (size_t i = 0; i < scen.size(); ++i) {
-    const ScenarioResult& r = scen[i];
-    std::fprintf(f,
-                 "    {\"flows\": %zu, \"events_fired\": %llu, "
-                 "\"wall_sec\": %.3f, \"events_per_sec\": %.0f, "
-                 "\"goodput_gbps\": %.2f}%s\n",
-                 r.flows, static_cast<unsigned long long>(r.events_fired),
-                 r.wall_sec, r.events_per_sec, r.goodput_gbps,
-                 i + 1 < scen.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"topology_construction\": [\n");
-  for (size_t i = 0; i < topo_builds.size(); ++i) {
-    const TopoBuildResult& t = topo_builds[i];
-    std::fprintf(f,
-                 "    {\"k\": %zu, \"hosts\": %zu, \"switches\": %zu, "
-                 "\"build_sec\": %.4f}%s\n",
-                 t.k, t.hosts, t.switches, t.build_sec,
-                 i + 1 < topo_builds.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
+  std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", core_path);
-
-  // ---- BENCH_hotpath.json ------------------------------------------------
-  // The work counters (events_fired, packet_hops, kicks, retries, wheel /
-  // heap routing) are exact on any hardware; CI gates them against the
-  // committed file. raw_speedup_vs_baseline = events_per_sec / the committed
-  // baseline's, and understates the wall-clock win: the port event diet
-  // deleted the *cheapest* events (tx-done), so surviving events are heavier
-  // on average.
-  std::fprintf(h, "{\n");
-  std::fprintf(h, "  \"bench\": \"hotpath\",\n");
-  std::fprintf(h, "  \"schema_version\": 3,\n");
-  std::fprintf(h, "  \"alloc_probe_enabled\": %s,\n",
-               bench::AllocProbe::enabled() ? "true" : "false");
-  std::fprintf(h, "  \"fig15\": [\n");
-  for (size_t i = 0; i < scen.size(); ++i) {
-    const ScenarioResult& r = scen[i];
-    const double baseline_eps = r.flows == 64 ? kBaselineEps64
-                                              : kBaselineEps256;
-    const uint64_t baseline_events =
-        r.flows == 64 ? kBaselineEvents64 : kBaselineEvents256;
-    std::fprintf(h, "    {\n");
-    std::fprintf(h, "      \"flows\": %zu,\n", r.flows);
-    std::fprintf(h, "      \"events_fired\": %llu,\n",
-                 static_cast<unsigned long long>(r.events_fired));
-    std::fprintf(h, "      \"packet_hops\": %llu,\n",
-                 static_cast<unsigned long long>(r.packet_hops));
-    std::fprintf(h, "      \"wall_sec\": %.3f,\n", r.wall_sec);
-    std::fprintf(h, "      \"events_per_sec\": %.0f,\n", r.events_per_sec);
-    std::fprintf(h, "      \"events_per_hop\": %.3f,\n", r.events_per_hop);
-    std::fprintf(h, "      \"goodput_gbps\": %.2f,\n", r.goodput_gbps);
-    std::fprintf(h, "      \"kick_events\": %llu,\n",
-                 static_cast<unsigned long long>(r.kick_events));
-    std::fprintf(h, "      \"retry_events\": %llu,\n",
-                 static_cast<unsigned long long>(r.retry_events));
-    std::fprintf(h, "      \"wheel_events\": %llu,\n",
-                 static_cast<unsigned long long>(r.wheel_events));
-    std::fprintf(h, "      \"heap_events\": %llu,\n",
-                 static_cast<unsigned long long>(r.heap_events));
-    std::fprintf(h, "      \"hot_path_allocs\": %llu,\n",
-                 static_cast<unsigned long long>(r.hot_path_allocs));
-    std::fprintf(h, "      \"committed_baseline\": {\"events_fired\": %llu, "
-                    "\"events_per_sec\": %.0f},\n",
-                 static_cast<unsigned long long>(baseline_events),
-                 baseline_eps);
-    std::fprintf(h, "      \"raw_speedup_vs_baseline\": %.3f\n",
-                 r.events_per_sec / baseline_eps);
-    std::fprintf(h, "    }%s\n", i + 1 < scen.size() ? "," : "");
-  }
-  std::fprintf(h, "  ],\n");
-  if (run_sweep) {
-    std::fprintf(h, "  \"sweep\": {\"points\": %zu, \"jobs\": %zu, "
-                    "\"wall_jobs1_sec\": %.3f, \"wall_jobsN_sec\": %.3f, "
-                    "\"speedup\": %.3f, \"identical_output\": %s}\n",
-                 sweep.points, sweep.jobs, sweep.wall_jobs1_sec,
-                 sweep.wall_jobsN_sec,
-                 sweep.wall_jobs1_sec / sweep.wall_jobsN_sec,
-                 sweep.identical_output ? "true" : "false");
-  } else {
-    std::fprintf(h, "  \"sweep\": null\n");
-  }
-  std::fprintf(h, "}\n");
-  std::fclose(h);
-  std::printf("wrote %s\n", hotpath_path);
   return 0;
 }

@@ -68,9 +68,8 @@ inline double data_ceiling_bps(double link_bps) {
          static_cast<double>(net::kCreditCycleBytes);
 }
 
-// One cell of the Fig-15 flow-scalability grid (also the 12-point sweep the
-// hotpath bench times): long-running flows on a 10G dumbbell, measured over
-// a post-warmup window.
+// One cell of the Fig-15 flow-scalability grid: long-running flows on a 10G
+// dumbbell, measured over a post-warmup window.
 struct ScalabilityCell {
   double util_gbps = 0;
   double fairness = 0;
@@ -102,12 +101,6 @@ inline ScalabilityCell to_scalability_cell(const runner::ScenarioResult& r) {
   c.max_q_kb = r.bottleneck_max_queue_bytes / 1e3;
   c.drops = r.data_drops;
   return c;
-}
-
-inline ScalabilityCell scalability_cell(runner::Protocol proto, size_t n_flows,
-                                        bool full) {
-  return to_scalability_cell(
-      runner::ScenarioEngine().run(scalability_spec(proto, n_flows, full)));
 }
 
 struct FlowSpecBuilder {

@@ -3,7 +3,6 @@
 // ExpressPass vs DCTCP. The paper's testbed shows ExpressPass at a stable
 // fair share with <= 18KB of queue while DCTCP oscillates with ~240KB peaks.
 #include "bench/common.hpp"
-#include "stats/queue_monitor.hpp"
 
 using namespace xpass;
 using sim::Time;
@@ -25,7 +24,6 @@ void run(runner::Protocol proto, Time horizon, Time sample) {
     driver.add(fb.make(d.senders[i], d.receivers[i], transport::kLongRunning,
                        step * (i + 1)));
   }
-  stats::QueueMonitor qmon(sim, d.bottleneck->data_queue(), sample);
 
   std::printf("\n--- %s ---\n", std::string(protocol_name(proto)).c_str());
   std::printf("%10s %7s %7s %7s %7s %7s %10s\n", "t(ms)", "f1(G)", "f2(G)",

@@ -161,7 +161,7 @@ class Port {
   uint64_t tx_bytes() const { return tx_bytes_; }
   uint64_t tx_data_bytes() const { return tx_data_bytes_; }
   uint64_t tx_credits() const { return tx_credits_; }
-  // Event-accounting introspection (BENCH_hotpath breakdown columns):
+  // Event accounting (the fig15 work counters zero_alloc_test pins):
   // serializer-free service wakeups and shaper token-wait retries fired.
   uint64_t kick_events() const { return kick_events_; }
   uint64_t retry_events() const { return retry_events_; }

@@ -261,14 +261,14 @@ TEST(Args, BooleanFlagReleasesTrailingTokenToPositionals) {
 }
 
 TEST(Args, ReleasedTokenKeepsArgvOrder) {
-  // `bench_core --no-sweep core.json hot.json`: the released core.json
-  // stays the first positional.
-  Argv a({"--no-sweep", "core.json", "hot.json"});
+  // `bench --full a.json b.json`: the released a.json stays the first
+  // positional.
+  Argv a({"--full", "a.json", "b.json"});
   Args args(a.argc(), a.argv());
-  EXPECT_TRUE(args.flag("no-sweep"));
+  EXPECT_TRUE(args.flag("full"));
   ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "core.json");
-  EXPECT_EQ(args.positional()[1], "hot.json");
+  EXPECT_EQ(args.positional()[0], "a.json");
+  EXPECT_EQ(args.positional()[1], "b.json");
   EXPECT_TRUE(args.ok());
 }
 
