@@ -3,15 +3,16 @@
 //   B. no host emission noise (exact software pacing + exact NIC limiter)
 //   C. no credit-size randomization (no switch-level drain jitter)
 //   D. no feedback loop (naive max-rate credits)
-//   E. aggressive start (alpha = w_init = 1/2) vs workload default 1/16
 // Metrics on an 8-flow dumbbell: fairness at two timescales, goodput, and
-// max data queue; plus multi-bottleneck utilization for the feedback row.
+// max data queue.
 #include "bench/common.hpp"
 
 using namespace xpass;
 using sim::Time;
 
 namespace {
+
+constexpr Time kWindow = Time::ms(1);
 
 struct Variant {
   const char* name;
@@ -21,55 +22,30 @@ struct Variant {
   bool naive;
 };
 
-struct Row {
-  double jain_1ms;
-  double jain_100ms;
-  double goodput_gbps;
-  double max_q_kb;
-};
-
-Row run(const Variant& v, uint64_t seed) {
-  sim::Simulator sim(seed);
-  net::Topology topo(sim);
-  auto link = runner::protocol_link_config(runner::Protocol::kExpressPass,
-                                           10e9, Time::us(1));
-  link.host_credit_shaper_noise = v.nic_noise;
-  auto d = net::build_dumbbell(topo, 8, link, link);
-  core::ExpressPassConfig cfg;
-  cfg.update_period = Time::us(100);
-  cfg.jitter = v.jitter;
-  cfg.randomize_credit_size = v.randomize_size;
-  cfg.naive = v.naive;
-  core::ExpressPassTransport t(sim, cfg);
-  runner::FlowDriver driver(sim, t);
-  bench::FlowSpecBuilder fb;
-  for (size_t i = 0; i < 8; ++i) {
-    driver.add(fb.make(d.senders[i], d.receivers[i], transport::kLongRunning,
-                       sim::Time::seconds(sim.rng().uniform(0.0, 2e-3))));
-  }
-  sim.run_until(Time::ms(10));
-  driver.rates().snapshot_rates(Time::ms(10));
-  double j1 = 0;
-  for (int w = 0; w < 10; ++w) {
-    sim.run_until(sim.now() + Time::ms(1));
-    j1 += stats::jain_index(driver.rates().snapshot_rates(Time::ms(1)));
-  }
-  sim.run_until(Time::ms(120));
-  auto rates = driver.rates().snapshot_rates(Time::ms(100));
-  Row r;
-  r.jain_1ms = j1 / 10;
-  r.jain_100ms = stats::jain_index(rates);
-  double sum = 0;
-  for (double x : rates) sum += x;
-  r.goodput_gbps = sum / 1e9;
-  r.max_q_kb = d.bottleneck->data_queue().stats().max_bytes / 1e3;
-  driver.stop_all();
-  return r;
+// Eight long flows, started U(0, 2ms), on a 10G dumbbell, sampled every
+// 1ms; rates, Jain and goodput are measured over the window [20ms, 120ms].
+runner::ScenarioSpec spec(const Variant& v, uint64_t seed) {
+  runner::ScenarioSpec s;
+  s.name = std::string("ablation/") + v.name + "/" + std::to_string(seed);
+  s.seed = seed;
+  s.topology.scale = 8;
+  s.topology.host_credit_shaper_noise = v.nic_noise;
+  s.xp.emplace();
+  s.xp->jitter = v.jitter;
+  s.xp->randomize_credit_size = v.randomize_size;
+  s.xp->naive = v.naive;
+  s.traffic.flows = 8;
+  s.traffic.start_spread_sec = 2e-3;
+  s.stop = runner::StopSpec::measure_window(Time::ms(20), Time::ms(100));
+  s.telemetry.sample_interval = kWindow;
+  s.telemetry.flow_rate_series = true;
+  return s;
 }
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
   bench::header("Ablation: ExpressPass design mechanisms",
                 "DESIGN.md design-choice index (jitter: Fig 6a; credit size "
                 "randomization: sec 3.1; feedback: Fig 10/11)");
@@ -80,16 +56,28 @@ int main(int, char**) {
       {"no noise at all", 0.0, 0.0, false, false},
       {"no feedback (naive)", 0.1, 0.6, true, true},
   };
+  std::vector<runner::ScenarioSpec> grid;
+  for (const Variant& v : variants) {
+    grid.push_back(spec(v, 3));
+    grid.push_back(spec(v, 7));
+  }
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
   std::printf("%-24s %10s %11s %12s %10s\n", "variant", "Jain@1ms",
               "Jain@100ms", "goodput(G)", "maxQ(KB)");
+  size_t at = 0;
   for (const Variant& v : variants) {
-    Row a = run(v, 3);
-    Row b = run(v, 7);
+    const runner::ScenarioResult& a = results[at++];
+    const runner::ScenarioResult& b = results[at++];
+    // Jain@1ms: the ten 1ms windows after a 10ms warmup.
     std::printf("%-24s %10.3f %11.3f %12.2f %10.1f\n", v.name,
-                (a.jain_1ms + b.jain_1ms) / 2,
-                (a.jain_100ms + b.jain_100ms) / 2,
-                (a.goodput_gbps + b.goodput_gbps) / 2,
-                std::max(a.max_q_kb, b.max_q_kb));
+                (bench::mean_window_jain(a, kWindow, 10, 10) +
+                 bench::mean_window_jain(b, kWindow, 10, 10)) /
+                    2,
+                (a.jain + b.jain) / 2,
+                (a.sum_rate_bps / 1e9 + b.sum_rate_bps / 1e9) / 2,
+                std::max(a.bottleneck_max_queue_bytes,
+                         b.bottleneck_max_queue_bytes) /
+                    1e3);
   }
   std::printf(
       "\nReading: removing emission noise degrades short-timescale\n"

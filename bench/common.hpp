@@ -7,21 +7,21 @@
 //
 // Benches are spec-driven: each builds runner::ScenarioSpec values and runs
 // them through runner::ScenarioEngine (singly or as a run_grid sweep); the
-// bench file itself is only the spec plus the figure's formatter.
+// bench file itself is only the spec plus the figure's formatter. The one
+// exception is ext_rdma_comparison, which reads NIC PFC pause counters that
+// no ScenarioResult carries. fig05, fig12 and tab01 are analytic and
+// simulate nothing.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
-#include "exec/sweep_runner.hpp"
-#include "net/topology_builders.hpp"
 #include "runner/args.hpp"
-#include "runner/flow_driver.hpp"
 #include "runner/protocols.hpp"
 #include "runner/scenario.hpp"
 #include "stats/fairness.hpp"
-#include "workload/generators.hpp"
 
 namespace xpass::bench {
 
@@ -33,12 +33,14 @@ struct BenchOptions {
   size_t jobs = 0;    // --jobs N / --jobs=N; 0 = SweepRunner default
 };
 
-inline BenchOptions bench_options(int argc, char** argv) {
-  runner::Args args(argc, argv);
+// A bench with flags of its own queries them on `args` first.
+inline BenchOptions bench_options(
+    runner::Args& args,
+    const char* usage = "usage: bench [--full] [--jobs N]\n") {
   BenchOptions o;
   o.full = args.flag("full");
   o.jobs = args.jobs();
-  args.die_on_error("usage: bench [--full] [--jobs N]\n");
+  args.die_on_error(usage);
   if (!o.full) {
     const char* env = std::getenv("XPASS_FULL");
     o.full = env != nullptr && env[0] == '1';
@@ -46,14 +48,9 @@ inline BenchOptions bench_options(int argc, char** argv) {
   return o;
 }
 
-inline bool full_mode(int argc, char** argv) {
-  return bench_options(argc, argv).full;
-}
-
-// Worker count for sweep-style benches. Results are identical for every
-// value — only wall-clock changes.
-inline size_t jobs_arg(int argc, char** argv) {
-  return bench_options(argc, argv).jobs;
+inline BenchOptions bench_options(int argc, char** argv) {
+  runner::Args args(argc, argv);
+  return bench_options(args);
 }
 
 inline void header(const char* title, const char* paper_ref) {
@@ -68,53 +65,38 @@ inline double data_ceiling_bps(double link_bps) {
          static_cast<double>(net::kCreditCycleBytes);
 }
 
-// One cell of the Fig-15 flow-scalability grid: long-running flows on a 10G
-// dumbbell, measured over a post-warmup window.
-struct ScalabilityCell {
-  double util_gbps = 0;
-  double fairness = 0;
-  double max_q_kb = 0;
-  uint64_t drops = 0;
-};
-
-inline runner::ScenarioSpec scalability_spec(runner::Protocol proto,
-                                             size_t n_flows, bool full) {
-  runner::ScenarioSpec s;
-  s.name = "fig15/" + std::string(runner::protocol_name(proto)) + "/" +
-           std::to_string(n_flows);
-  s.seed = 29;
-  s.topology.kind = runner::TopologyKind::kDumbbell;
-  s.topology.scale = n_flows;
-  s.protocol = proto;
-  s.traffic.kind = runner::TrafficKind::kPairwise;
-  s.traffic.flows = n_flows;
-  s.traffic.start_spread_sec = 5e-3;
-  s.stop = runner::StopSpec::measure_window(sim::Time::ms(full ? 50 : 20),
-                                            sim::Time::ms(full ? 100 : 50));
-  return s;
-}
-
-inline ScalabilityCell to_scalability_cell(const runner::ScenarioResult& r) {
-  ScalabilityCell c;
-  c.util_gbps = r.sum_rate_bps / 1e9;
-  c.fairness = r.jain;
-  c.max_q_kb = r.bottleneck_max_queue_bytes / 1e3;
-  c.drops = r.data_drops;
-  return c;
-}
-
-struct FlowSpecBuilder {
-  uint32_t next_id = 1;
-  transport::FlowSpec make(net::Host* src, net::Host* dst, uint64_t bytes,
-                           sim::Time start = sim::Time::zero()) {
-    transport::FlowSpec s;
-    s.id = next_id++;
-    s.src = src;
-    s.dst = dst;
-    s.size_bytes = bytes;
-    s.start_time = start;
-    return s;
+// Per-window goodput (bits/sec) of flow `id` in a run whose telemetry
+// sampled "flow.<id>.bytes" every `window`: element k covers the k-th
+// sample interval and is (cum_k - cum_{k-1}) * 8 / window, the arithmetic
+// of RateTracker's snapshots, so thresholds and Jain folds match theirs.
+inline std::vector<double> window_rates(const runner::ScenarioResult& r,
+                                        uint32_t id, sim::Time window) {
+  const std::vector<double>& cum =
+      r.recorder.series().at("flow." + std::to_string(id) + ".bytes").v;
+  std::vector<double> out(cum.size());
+  double prev = 0;
+  for (size_t k = 0; k < cum.size(); ++k) {
+    out[k] = (cum[k] - prev) * 8.0 / window.to_sec();
+    prev = cum[k];
   }
-};
+  return out;
+}
+
+// Mean over windows [first, first + count) of the Jain index of every
+// flow's window_rates().
+inline double mean_window_jain(const runner::ScenarioResult& r,
+                               sim::Time window, size_t first, size_t count) {
+  std::vector<std::vector<double>> flows;
+  for (uint32_t id = 1; id <= r.scheduled; ++id) {
+    flows.push_back(window_rates(r, id, window));
+  }
+  double sum = 0;
+  std::vector<double> xs(flows.size());
+  for (size_t k = first; k < first + count; ++k) {
+    for (size_t i = 0; i < flows.size(); ++i) xs[i] = flows[i][k];
+    sum += stats::jain_index(xs);
+  }
+  return sum / static_cast<double>(count);
+}
 
 }  // namespace xpass::bench

@@ -67,16 +67,9 @@ runner::ScenarioSpec coexist_spec(const Cell& c, bool full) {
 
 int main(int argc, char** argv) {
   runner::Args args(argc, argv);
-  const bool flag_full = args.flag("full");
-  const size_t jobs = args.jobs();
   const auto json_dir = args.str("json-dir");
-  args.die_on_error(
-      "usage: ext_coexistence [--full] [--jobs N] [--json-dir DIR]\n");
-  bool full = flag_full;
-  if (!full) {
-    const char* env = std::getenv("XPASS_FULL");
-    full = env != nullptr && env[0] == '1';
-  }
+  const bench::BenchOptions opts = bench::bench_options(
+      args, "usage: ext_coexistence [--full] [--jobs N] [--json-dir DIR]\n");
 
   bench::header("Ext: mixed-protocol coexistence (per-group split)",
                 "extends SIGCOMM'17 §4.3 (minimum credit-rate reservation)");
@@ -87,8 +80,8 @@ int main(int argc, char** argv) {
       {runner::Protocol::kBbr, false},   {runner::Protocol::kBbr, true},
   };
   std::vector<runner::ScenarioSpec> grid;
-  for (const Cell& c : cells) grid.push_back(coexist_spec(c, full));
-  const auto results = runner::ScenarioEngine().run_grid(grid, jobs);
+  for (const Cell& c : cells) grid.push_back(coexist_spec(c, opts.full));
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
 
   if (json_dir) {
     std::filesystem::create_directories(*json_dir);

@@ -6,7 +6,14 @@
 //       arrivals without touching innocent traffic.
 //   (b) victim flow: an incast on one downlink vs a victim flow between two
 //       uninvolved hosts on the same switch (PFC head-of-line blocking).
+//
+// The one bench that still wires its network by hand: it reads NIC PFC
+// pause counts, which ScenarioResult does not carry, and its victim runs
+// between two hosts a ScenarioSpec cannot name.
 #include "bench/common.hpp"
+#include "net/topology_builders.hpp"
+#include "runner/flow_driver.hpp"
+#include "workload/generators.hpp"
 
 using namespace xpass;
 using sim::Time;
@@ -46,13 +53,15 @@ double victim_goodput(runner::Protocol proto) {
   auto star = net::build_star(topo, 12, link);
   auto t = runner::make_transport(proto, sim, topo, Time::us(20));
   runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  for (size_t i = 2; i <= 9; ++i) {
-    driver.add(fb.make(star.hosts[i], star.hosts[0],
-                       transport::kLongRunning));
-  }
-  auto victim = fb.make(star.hosts[10], star.hosts[11],
-                        transport::kLongRunning);
+  const std::vector<net::Host*> incast(star.hosts.begin() + 2,
+                                       star.hosts.begin() + 10);
+  driver.add_all(workload::incast_flows(incast, star.hosts[0],
+                                        transport::kLongRunning, 8));
+  transport::FlowSpec victim;
+  victim.id = 9;
+  victim.src = star.hosts[10];
+  victim.dst = star.hosts[11];
+  victim.size_bytes = transport::kLongRunning;
   driver.add(victim);
   sim.run_until(Time::ms(10));
   auto rates = driver.rates().snapshot_rates_by_flow(Time::ms(10));
@@ -62,7 +71,8 @@ double victim_goodput(runner::Protocol proto) {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::bench_options(argc, argv);
   bench::header("Extension: ExpressPass vs PFC-based RDMA CC (DCQCN/TIMELY)",
                 "the RDMA motivation of sec 1 (no paper figure)");
   std::printf("(a) 16-way incast, 200KB flows, one 10G ToR\n");

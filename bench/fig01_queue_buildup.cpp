@@ -35,7 +35,7 @@ runner::ScenarioSpec spec(runner::Protocol proto, size_t fanout, bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 1: data queue vs concurrent flows (partition/aggregate)",
                 "Fig 1, SIGCOMM'17 (shape: ideal & DCTCP queues grow with "
                 "fan-out and overflow; credit-based stays bounded)");

@@ -11,71 +11,69 @@ using sim::Time;
 
 namespace {
 
-struct Result {
-  double converge_us = -1;
-  std::vector<std::pair<double, double>> trace;  // (t_us, flow2 Gbps)
+struct Row {
+  const char* name;
+  const char* paper;
+  runner::Protocol proto;
+  Time sample;
+  int n_samples;
 };
 
-Result run(runner::Protocol proto, Time sample, int n_samples,
-           bool naive_credit) {
-  sim::Simulator sim(5);
-  net::Topology topo(sim);
-  const auto link = runner::protocol_link_config(proto, 10e9, Time::us(1));
-  auto d = net::build_dumbbell(topo, 2, link, link);
-  core::ExpressPassConfig xp;
-  xp.naive = naive_credit;
-  auto t = runner::make_transport(proto, sim, topo, Time::us(100), &xp);
-  runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  driver.add(fb.make(d.senders[0], d.receivers[0], transport::kLongRunning));
-  const Time join = sample * 5;
-  driver.add(
-      fb.make(d.senders[1], d.receivers[1], transport::kLongRunning, join));
-
-  Result res;
-  for (int k = 0; k < n_samples; ++k) {
-    sim.run_until(sample * (k + 1));
-    auto rates = driver.rates().snapshot_rates_by_flow(sample);
-    const double t_us = sim.now().to_us();
-    res.trace.push_back({t_us, rates[2] / 1e9});
-    if (res.converge_us < 0 && sim.now() > join && rates[2] > 4e9) {
-      res.converge_us = (sim.now() - join).to_us();
-    }
-  }
-  driver.stop_all();
-  return res;
-}
-
-void report(const char* name, const Result& r, const char* paper) {
-  if (r.converge_us >= 0) {
-    std::printf("%-22s converged in %10.1f us   [paper: %s]\n", name,
-                r.converge_us, paper);
-  } else {
-    std::printf("%-22s did not converge in the run  [paper: %s]\n", name,
-                paper);
-  }
+// Two long flows on a 10G dumbbell; flow 2 joins at the fifth sample.
+runner::ScenarioSpec spec(const Row& row) {
+  runner::ScenarioSpec s;
+  s.name = "fig02/" + std::string(runner::protocol_name(row.proto));
+  s.seed = 5;
+  s.protocol = row.proto;
+  s.traffic.start_step = row.sample * 5;
+  s.stop = runner::StopSpec::run_for(row.sample * row.n_samples);
+  s.telemetry.sample_interval = row.sample;
+  s.telemetry.flow_rate_series = true;
+  return s;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
   bench::header("Fig 2: convergence time of a joining flow @10G",
                 "Fig 2, SIGCOMM'17");
-  auto naive = run(runner::Protocol::kExpressPassNaive, Time::us(25), 40,
-                   true);
-  auto cubic = run(runner::Protocol::kCubic, Time::ms(2),
-                   full ? 100 : 50, false);
-  auto dctcp = run(runner::Protocol::kDctcp, Time::ms(2),
-                   full ? 250 : 75, false);
-  report("naive credit-based", naive, "~25us (one RTT)");
-  report("TCP Cubic", cubic, "~47ms");
-  report("DCTCP", dctcp, "~70ms");
+  const Row rows[] = {
+      {"naive credit-based", "~25us (one RTT)",
+       runner::Protocol::kExpressPassNaive, Time::us(25), 40},
+      {"TCP Cubic", "~47ms", runner::Protocol::kCubic, Time::ms(2),
+       opts.full ? 100 : 50},
+      {"DCTCP", "~70ms", runner::Protocol::kDctcp, Time::ms(2),
+       opts.full ? 250 : 75},
+  };
+  std::vector<runner::ScenarioSpec> grid;
+  for (const Row& row : rows) grid.push_back(spec(row));
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
+
+  std::vector<std::vector<double>> joiner;  // flow 2's rate per sample
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const Row& row = rows[i];
+    const Time join = grid[i].traffic.start_step;
+    joiner.push_back(bench::window_rates(results[i], 2, row.sample));
+    double converge_us = -1;
+    for (size_t k = 0; k < joiner[i].size() && converge_us < 0; ++k) {
+      const Time now = row.sample * static_cast<double>(k + 1);
+      if (now > join && joiner[i][k] > 4e9) converge_us = (now - join).to_us();
+    }
+    if (converge_us >= 0) {
+      std::printf("%-22s converged in %10.1f us   [paper: %s]\n", row.name,
+                  converge_us, row.paper);
+    } else {
+      std::printf("%-22s did not converge in the run  [paper: %s]\n",
+                  row.name, row.paper);
+    }
+  }
 
   std::printf("\nJoining-flow rate trace, naive credit (Gbps):\n");
-  for (size_t i = 4; i < 16 && i < naive.trace.size(); ++i) {
-    std::printf("  t=%6.0fus  %5.2f\n", naive.trace[i].first,
-                naive.trace[i].second);
+  for (size_t k = 4; k < 16 && k < joiner[0].size(); ++k) {
+    std::printf("  t=%6.0fus  %5.2f\n",
+                (rows[0].sample * static_cast<double>(k + 1)).to_us(),
+                joiner[0][k] / 1e9);
   }
   return 0;
 }

@@ -38,7 +38,8 @@ void table(const char* title, size_t credit_q, sim::Time dhost) {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::bench_options(argc, argv);
   bench::header("Fig 5: max ToR-switch buffer breakdown, 32-ary fat tree",
                 "Fig 5, SIGCOMM'17 (paper peaks ~10-40MB; shape: grows with "
                 "link speed sub-linearly, shrinks with smaller credit queue "

@@ -14,62 +14,58 @@ using sim::Time;
 
 namespace {
 
-double fairness_for_jitter(double jitter, size_t n_flows, uint64_t seed) {
-  sim::Simulator sim(seed);
-  net::Topology topo(sim);
-  auto link = runner::protocol_link_config(runner::Protocol::kExpressPass,
-                                           10e9, Time::us(1));
-  // The swept variable is the total host-side emission noise: the pacing
-  // jitter plus the software rate-limiter's release noise scale together
-  // (in the paper both stem from the same SoftNIC host; Fig 6b measures
-  // their combined effect).
-  link.host_credit_shaper_noise = jitter;
-  auto d = net::build_dumbbell(topo, n_flows, link, link);
-  core::ExpressPassConfig cfg;
-  cfg.naive = true;  // isolate drop fairness from the feedback loop
-  cfg.jitter = jitter;
-  cfg.update_period = Time::us(100);
-  core::ExpressPassTransport t(sim, cfg);
-  runner::FlowDriver driver(sim, t);
-  for (size_t i = 0; i < n_flows; ++i) {
-    transport::FlowSpec s;
-    s.id = static_cast<uint32_t>(i + 1);
-    s.src = d.senders[i];
-    s.dst = d.receivers[i];
-    s.size_bytes = transport::kLongRunning;
-    s.start_time = sim::Time::seconds(sim.rng().uniform(0.0, 2e-3));
-    driver.add(s);
-  }
-  sim.run_until(Time::ms(10));
-  driver.rates().snapshot_rates(Time::ms(10));
-  double jsum = 0;
-  const int windows = 10;
-  for (int w = 0; w < windows; ++w) {
-    sim.run_until(sim.now() + Time::ms(1));
-    jsum += stats::jain_index(driver.rates().snapshot_rates(Time::ms(1)));
-  }
-  driver.stop_all();
-  return jsum / windows;
+constexpr Time kWindow = Time::ms(1);
+
+// Naive (max-rate) credit flows, started U(0, 2ms), on a 10G dumbbell; the
+// run samples every 1ms window. The swept variable is the total host-side
+// emission noise: the pacing jitter plus the software rate-limiter's
+// release noise scale together (in the paper both stem from the same
+// SoftNIC host; Fig 6b measures their combined effect).
+runner::ScenarioSpec spec(double jitter, size_t n_flows) {
+  runner::ScenarioSpec s;
+  s.name = "fig06/" + std::to_string(jitter) + "/" + std::to_string(n_flows);
+  s.seed = 7;
+  s.topology.scale = n_flows;
+  s.topology.host_credit_shaper_noise = jitter;
+  s.xp.emplace();
+  s.xp->naive = true;  // isolate drop fairness from the feedback loop
+  s.xp->jitter = jitter;
+  s.traffic.flows = n_flows;
+  s.traffic.start_spread_sec = 2e-3;
+  s.stop = runner::StopSpec::run_for(Time::ms(20));
+  s.telemetry.sample_interval = kWindow;
+  s.telemetry.flow_rate_series = true;
+  return s;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
   bench::header("Fig 6a: jitter level vs fairness (naive credits, 1ms Jain)",
                 "Fig 6a, SIGCOMM'17 (shape: j=0 unfair, fairness -> 1 with "
                 "jitter; our purely-simulated hosts need the full measured "
                 "NIC noise ~0.3-0.6 of the gap, paper Fig 6b)");
   const std::vector<size_t> flow_counts =
-      full ? std::vector<size_t>{4, 16, 64, 256, 1024}
-           : std::vector<size_t>{4, 16, 64};
+      opts.full ? std::vector<size_t>{4, 16, 64, 256, 1024}
+                : std::vector<size_t>{4, 16, 64};
+  const std::vector<double> jitters = {0.0,  0.01, 0.02, 0.04,
+                                       0.08, 0.2,  0.4,  0.6};
+  std::vector<runner::ScenarioSpec> grid;
+  for (double j : jitters) {
+    for (size_t n : flow_counts) grid.push_back(spec(j, n));
+  }
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
   std::printf("%8s", "jitter");
   for (size_t n : flow_counts) std::printf("  n=%-6zu", n);
   std::printf("\n");
-  for (double j : {0.0, 0.01, 0.02, 0.04, 0.08, 0.2, 0.4, 0.6}) {
+  size_t at = 0;
+  for (double j : jitters) {
     std::printf("%8.2f", j);
-    for (size_t n : flow_counts) {
-      std::printf("  %-8.3f", fairness_for_jitter(j, n, 7));
+    for (size_t n = 0; n < flow_counts.size(); ++n) {
+      // Jain over the ten 1ms windows after a 10ms warmup.
+      std::printf("  %-8.3f",
+                  bench::mean_window_jain(results[at++], kWindow, 10, 10));
     }
     std::printf("\n");
   }

@@ -32,7 +32,7 @@ double under_utilization(size_t credit_q, size_t n_flows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 9: credit queue capacity vs under-utilization",
                 "Fig 9, SIGCOMM'17 (shape: deep under-utilization for 1-2 "
                 "credit buffers, near zero by ~8)");

@@ -29,7 +29,8 @@ double link1_utilization(size_t n_links, bool naive) {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::bench_options(argc, argv);
   bench::header("Fig 10: parking-lot utilization of link 1",
                 "Fig 10b, SIGCOMM'17 (paper: naive 83.3%..60%, feedback "
                 "98%..97.8%)");

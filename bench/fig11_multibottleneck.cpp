@@ -30,7 +30,7 @@ double flow0_gbps(size_t n, bool naive) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 11: flow 0 throughput in the multi-bottleneck topology",
                 "Fig 11b, SIGCOMM'17");
   const std::vector<size_t> ns = full

@@ -10,7 +10,8 @@
 
 using namespace xpass;
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::bench_options(argc, argv);
   bench::header("Fig 12 / sec 4: steady-state oscillation of Algorithm 1",
                 "Fig 12 + the D* bound of the stability analysis");
   const double max_rate = 10e9;

@@ -9,51 +9,60 @@ using sim::Time;
 
 namespace {
 
-void run(runner::Protocol proto, Time horizon, Time sample) {
-  sim::Simulator sim(23);
-  net::Topology topo(sim);
-  const auto link = runner::protocol_link_config(proto, 10e9, Time::us(1));
-  auto d = net::build_dumbbell(topo, 5, link, link);
-  auto t = runner::make_transport(proto, sim, topo, Time::us(100));
-  runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  // Five flows arrive staggered, then depart in reverse order (the paper's
-  // arrive-and-depart staircase compressed in time).
-  const Time step = horizon / 10;
-  for (uint32_t i = 0; i < 5; ++i) {
-    driver.add(fb.make(d.senders[i], d.receivers[i], transport::kLongRunning,
-                       step * (i + 1)));
-  }
+// Five flows join one every horizon/10 and run to the horizon (the arrival
+// half of the paper's arrive-and-depart staircase, compressed in time),
+// sampled every horizon/20.
+runner::ScenarioSpec spec(runner::Protocol proto, Time horizon) {
+  runner::ScenarioSpec s;
+  s.name = "fig13/" + std::string(runner::protocol_name(proto));
+  s.seed = 23;
+  s.topology.scale = 5;
+  s.protocol = proto;
+  s.traffic.flows = 5;
+  s.traffic.start_offset = horizon / 10;
+  s.traffic.start_step = horizon / 10;
+  s.stop = runner::StopSpec::run_for(horizon);
+  s.telemetry.sample_interval = horizon / 20;
+  s.telemetry.flow_rate_series = true;
+  s.telemetry.bottleneck_queue_series = true;
+  return s;
+}
 
-  std::printf("\n--- %s ---\n", std::string(protocol_name(proto)).c_str());
+void print(const runner::ScenarioSpec& s, const runner::ScenarioResult& r) {
+  const Time sample = s.telemetry.sample_interval;
+  std::vector<std::vector<double>> rates;
+  for (uint32_t id = 1; id <= 5; ++id) {
+    rates.push_back(bench::window_rates(r, id, sample));
+  }
+  const std::vector<double>& queue =
+      r.recorder.series().at("queue.bottleneck.bytes").v;
+  std::printf("\n--- %s ---\n",
+              std::string(runner::protocol_name(s.protocol)).c_str());
   std::printf("%10s %7s %7s %7s %7s %7s %10s\n", "t(ms)", "f1(G)", "f2(G)",
               "f3(G)", "f4(G)", "f5(G)", "queue(KB)");
-  uint64_t q_max = 0;
-  for (Time now = sample; now <= horizon; now += sample) {
-    sim.run_until(now);
-    auto rates = driver.rates().snapshot_rates_by_flow(sample);
-    const uint64_t q = d.bottleneck->data_queue().stats().max_bytes;
-    q_max = std::max(q_max, q);
+  for (size_t k = 0; k < queue.size(); ++k) {
     std::printf("%10.2f %7.2f %7.2f %7.2f %7.2f %7.2f %10.1f\n",
-                now.to_ms(), rates[1] / 1e9, rates[2] / 1e9, rates[3] / 1e9,
-                rates[4] / 1e9, rates[5] / 1e9,
-                d.bottleneck->data_queue().bytes() / 1e3);
+                (sample * static_cast<double>(k + 1)).to_ms(),
+                rates[0][k] / 1e9, rates[1][k] / 1e9, rates[2][k] / 1e9,
+                rates[3][k] / 1e9, rates[4][k] / 1e9, queue[k] / 1e3);
   }
   std::printf("max bottleneck queue: %.1f KB; data drops: %zu\n",
-              q_max / 1e3, static_cast<size_t>(topo.data_drops()));
-  driver.stop_all();
+              r.bottleneck_max_queue_bytes / 1e3,
+              static_cast<size_t>(r.data_drops));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
   bench::header("Fig 13: 5-flow convergence trace + queue",
                 "Fig 13, SIGCOMM'17 (paper: XP max queue 18KB vs DCTCP "
                 "240.7KB; XP throughput stable at fair share)");
-  const Time horizon = full ? Time::ms(400) : Time::ms(100);
-  const Time sample = horizon / 20;
-  run(runner::Protocol::kExpressPass, horizon, sample);
-  run(runner::Protocol::kDctcp, horizon, sample);
+  const Time horizon = opts.full ? Time::ms(400) : Time::ms(100);
+  const std::vector<runner::ScenarioSpec> grid = {
+      spec(runner::Protocol::kExpressPass, horizon),
+      spec(runner::Protocol::kDctcp, horizon)};
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
+  for (size_t i = 0; i < grid.size(); ++i) print(grid[i], results[i]);
   return 0;
 }

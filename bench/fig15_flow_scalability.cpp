@@ -12,11 +12,28 @@ using namespace xpass;
 using sim::Time;
 
 namespace {
-using Row = bench::ScalabilityCell;
+
+// Long-running flows started U(0, 5ms) on a 10G dumbbell, measured over a
+// post-warmup window.
+runner::ScenarioSpec spec(runner::Protocol proto, size_t n_flows, bool full) {
+  runner::ScenarioSpec s;
+  s.name = "fig15/" + std::string(runner::protocol_name(proto)) + "/" +
+           std::to_string(n_flows);
+  s.seed = 29;
+  s.topology.scale = n_flows;
+  s.protocol = proto;
+  s.traffic.flows = n_flows;
+  s.traffic.start_spread_sec = 5e-3;
+  s.stop = runner::StopSpec::measure_window(Time::ms(full ? 50 : 20),
+                                            Time::ms(full ? 100 : 50));
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
+  const bool full = opts.full;
   bench::header("Fig 15: utilization / fairness / max queue vs flow count",
                 "Fig 15 b/d/f, SIGCOMM'17");
   const std::vector<size_t> counts =
@@ -30,11 +47,10 @@ int main(int argc, char** argv) {
   std::vector<runner::ScenarioSpec> grid;
   for (auto proto : protos) {
     for (size_t n : counts) {
-      grid.push_back(bench::scalability_spec(proto, n, full));
+      grid.push_back(spec(proto, n, full));
     }
   }
-  const auto results = runner::ScenarioEngine().run_grid(
-      grid, bench::jobs_arg(argc, argv));
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
   size_t at = 0;
   for (auto proto : protos) {
     std::printf("\n--- %s ---\n",
@@ -42,9 +58,11 @@ int main(int argc, char** argv) {
     std::printf("%8s %12s %10s %12s %8s\n", "flows", "goodput(G)", "Jain",
                 "maxQ(KB)", "drops");
     for (size_t n : counts) {
-      const Row r = bench::to_scalability_cell(results[at++]);
-      std::printf("%8zu %12.2f %10.3f %12.1f %8zu\n", n, r.util_gbps,
-                  r.fairness, r.max_q_kb, static_cast<size_t>(r.drops));
+      const runner::ScenarioResult& r = results[at++];
+      std::printf("%8zu %12.2f %10.3f %12.1f %8zu\n", n,
+                  r.sum_rate_bps / 1e9, r.jain,
+                  r.bottleneck_max_queue_bytes / 1e3,
+                  static_cast<size_t>(r.data_drops));
     }
   }
   std::printf(

@@ -9,46 +9,8 @@ using sim::Time;
 
 namespace {
 
-// A flow joins a loaded link; returns RTTs until both flows hold within
-// 25% of the fair share for 3 consecutive RTTs (the paper's notion of
-// "converged" — a transient slow-start burst does not count).
-double converge_rtts(runner::Protocol proto, double rate_bps, double alpha,
-                     int max_rtts) {
-  sim::Simulator sim(9);
-  net::Topology topo(sim);
-  // Links get 4us prop + host 1us-ish to make a ~100us RTT fabric as in the
-  // paper's simulation setup.
-  auto link = runner::protocol_link_config(proto, rate_bps, Time::us(12));
-  auto d = net::build_dumbbell(topo, 2, link, link);
-  const Time rtt = Time::us(100);
-  core::ExpressPassConfig xp;
-  xp.alpha_init = alpha;
-  xp.w_init = alpha >= 0.5 ? 0.5 : alpha;
-  auto t = runner::make_transport(proto, sim, topo, rtt, &xp);
-  runner::FlowDriver driver(sim, *t);
-  bench::FlowSpecBuilder fb;
-  driver.add(fb.make(d.senders[0], d.receivers[0], transport::kLongRunning));
-  const Time join = rtt * 20;
-  driver.add(
-      fb.make(d.senders[1], d.receivers[1], transport::kLongRunning, join));
-  sim.run_until(join);
-  driver.rates().snapshot_rates_by_flow(join);
-  const double fair = 0.475 * rate_bps;  // data ceiling / 2
-  int streak = 0;
-  for (int k = 1; k <= max_rtts; ++k) {
-    sim.run_until(join + rtt * k);
-    auto rates = driver.rates().snapshot_rates_by_flow(rtt);
-    const bool fair_now = rates[1] > 0.75 * fair && rates[1] < 1.35 * fair &&
-                          rates[2] > 0.75 * fair && rates[2] < 1.35 * fair;
-    streak = fair_now ? streak + 1 : 0;
-    if (streak >= 3) {
-      driver.stop_all();
-      return k - 2;
-    }
-  }
-  driver.stop_all();
-  return -1;
-}
+constexpr Time kRtt = Time::us(100);
+constexpr Time kJoin = kRtt * 20;
 
 struct RowSpec {
   const char* name;
@@ -59,47 +21,90 @@ struct RowSpec {
   const char* paper;
 };
 
-void print_row(const RowSpec& s, double r10, double r100) {
-  char b10[32], b100[32];
-  if (r10 < 0) {
-    std::snprintf(b10, sizeof b10, ">%d", s.cap10);
-  } else {
-    std::snprintf(b10, sizeof b10, "%.0f", r10);
+// A flow joins a loaded link at 20 RTTs; the run samples both flows every
+// RTT up to `max_rtts` after the join. Links get 12us of propagation each
+// way to make a ~100us RTT fabric as in the paper's simulation setup.
+runner::ScenarioSpec spec(const RowSpec& row, double rate_bps, int max_rtts) {
+  runner::ScenarioSpec s;
+  s.name = "fig16/" + std::string(row.name) + "/" +
+           std::to_string(static_cast<int>(rate_bps / 1e9)) + "G";
+  s.seed = 9;
+  s.topology.host_rate_bps = rate_bps;
+  s.topology.host_prop = Time::us(12);
+  s.protocol = row.proto;
+  if (row.proto == runner::Protocol::kExpressPass) {
+    s.xp.emplace();
+    s.xp->alpha_init = row.alpha;
+    s.xp->w_init = row.alpha >= 0.5 ? 0.5 : row.alpha;
   }
-  if (r100 < 0) {
-    std::snprintf(b100, sizeof b100, ">%d", s.cap100);
-  } else {
-    std::snprintf(b100, sizeof b100, "%.0f", r100);
+  s.traffic.start_step = kJoin;
+  s.stop = runner::StopSpec::run_for(kJoin + kRtt * max_rtts);
+  s.telemetry.sample_interval = kRtt;
+  s.telemetry.flow_rate_series = true;
+  return s;
+}
+
+// RTTs after the join until both flows hold within [0.75, 1.35]x of the
+// fair share for 3 consecutive RTTs (the paper's notion of "converged" — a
+// transient slow-start burst does not count); -1 if they never do.
+double converge_rtts(const runner::ScenarioResult& r, double rate_bps) {
+  const std::vector<double> f1 = bench::window_rates(r, 1, kRtt);
+  const std::vector<double> f2 = bench::window_rates(r, 2, kRtt);
+  const double fair = 0.475 * rate_bps;  // data ceiling / 2
+  const auto near_fair = [fair](double x) {
+    return x > 0.75 * fair && x < 1.35 * fair;
+  };
+  const size_t joined = static_cast<size_t>(kJoin / kRtt);
+  int streak = 0;
+  for (size_t k = joined; k < f1.size(); ++k) {
+    streak = near_fair(f1[k]) && near_fair(f2[k]) ? streak + 1 : 0;
+    if (streak >= 3) return static_cast<double>(k - joined) - 1;
   }
-  std::printf("%-28s %10s %10s   [paper: %s]\n", s.name, b10, b100, s.paper);
+  return -1;
+}
+
+// The RTT count, or ">cap" for a run that never converged.
+std::string rtts_cell(double rtts, int cap) {
+  char b[32];
+  if (rtts < 0) {
+    std::snprintf(b, sizeof b, ">%d", cap);
+  } else {
+    std::snprintf(b, sizeof b, "%.0f", rtts);
+  }
+  return b;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
   bench::header("Fig 16: convergence time in RTTs (RTT=100us)",
                 "Fig 16, SIGCOMM'17");
   std::printf("%-28s %10s %10s\n", "protocol", "@10G", "@100G");
-  const std::vector<RowSpec> specs = {
+  const std::vector<RowSpec> rows = {
       {"ExpressPass (a=1/2)", runner::Protocol::kExpressPass, 0.5, 40, 40,
        "3 RTTs @10G and @100G"},
       {"ExpressPass (a=1/16)", runner::Protocol::kExpressPass, 1.0 / 16, 60,
        60, "6 RTTs @10G and @100G"},
       {"RCP", runner::Protocol::kRcp, 0, 40, 40, "3 RTTs"},
-      {"DCTCP", runner::Protocol::kDctcp, 0, full ? 1000 : 600,
-       full ? 6000 : 1200, "260 RTTs @10G, 2350 @100G"},
+      {"DCTCP", runner::Protocol::kDctcp, 0, opts.full ? 1000 : 600,
+       opts.full ? 6000 : 1200, "260 RTTs @10G, 2350 @100G"},
   };
   // Each (row, link speed) pair is an independent simulation; the DCTCP
   // 100G run dominates serial wall-clock, so fan the grid out.
-  exec::SweepRunner pool(bench::jobs_arg(argc, argv));
-  const auto rtts = pool.map(specs.size() * 2, [&](size_t i) {
-    const RowSpec& s = specs[i / 2];
-    return i % 2 == 0 ? converge_rtts(s.proto, 10e9, s.alpha, s.cap10)
-                      : converge_rtts(s.proto, 100e9, s.alpha, s.cap100);
-  });
-  for (size_t r = 0; r < specs.size(); ++r) {
-    print_row(specs[r], rtts[2 * r], rtts[2 * r + 1]);
+  std::vector<runner::ScenarioSpec> grid;
+  for (const RowSpec& row : rows) {
+    grid.push_back(spec(row, 10e9, row.cap10));
+    grid.push_back(spec(row, 100e9, row.cap100));
+  }
+  const auto results = runner::ScenarioEngine().run_grid(grid, opts.jobs);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::printf(
+        "%-28s %10s %10s   [paper: %s]\n", rows[r].name,
+        rtts_cell(converge_rtts(results[2 * r], 10e9), rows[r].cap10).c_str(),
+        rtts_cell(converge_rtts(results[2 * r + 1], 100e9), rows[r].cap100)
+            .c_str(),
+        rows[r].paper);
   }
   std::printf(
       "\nShape check: ExpressPass/RCP converge in a few RTTs at both\n"

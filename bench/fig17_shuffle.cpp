@@ -33,7 +33,7 @@ stats::FctCollector run(runner::Protocol proto, size_t hosts, size_t tasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 17: shuffle workload FCT distribution",
                 "Fig 17, SIGCOMM'17 (paper: DCTCP median 2.05s vs XP 2.23s; "
                 "p99 XP 1.51x better; max XP 6.65x better)");

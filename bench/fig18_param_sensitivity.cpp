@@ -8,7 +8,7 @@
 using namespace xpass;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 18: alpha / w_init sensitivity of 99%-ile FCT",
                 "Fig 18, SIGCOMM'17");
   struct Setting {

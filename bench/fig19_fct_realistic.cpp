@@ -13,7 +13,8 @@
 using namespace xpass;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bench::BenchOptions opts = bench::bench_options(argc, argv);
+  const bool full = opts.full;
   bench::header("Fig 19: FCT by size bin, realistic workloads @ load 0.6",
                 "Fig 19, SIGCOMM'17");
   const std::vector<workload::WorkloadKind> kinds =
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto results = runner::ScenarioEngine().run_grid(
-      grid, bench::jobs_arg(argc, argv));
+      grid, opts.jobs);
 
   size_t at = 0;
   for (auto kind : kinds) {

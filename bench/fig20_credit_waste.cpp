@@ -7,7 +7,7 @@
 using namespace xpass;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 20: credit waste ratio @ load 0.6",
                 "Fig 20, SIGCOMM'17");
   const std::vector<workload::WorkloadKind> kinds =

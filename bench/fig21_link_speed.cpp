@@ -30,7 +30,7 @@ std::array<double, stats::kNumBins> avg_fct(runner::Protocol proto,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Fig 21: average FCT speed-up of 40G hosts over 10G hosts",
                 "Fig 21, SIGCOMM'17");
   const std::vector<workload::WorkloadKind> kinds =

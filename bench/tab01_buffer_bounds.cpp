@@ -21,7 +21,8 @@ void row(const char* name, double edge_bps, double fabric_bps,
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::bench_options(argc, argv);
   bench::header("Table 1: required buffer for zero data loss (KB/port)",
                 "Table 1, Credit-Scheduled Delay-Bounded CC, SIGCOMM'17");
   std::printf("%-28s %10s %10s %10s   | %8s %8s %8s\n", "topology (link/core)",

@@ -8,7 +8,7 @@
 using namespace xpass;
 
 int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = bench::bench_options(argc, argv).full;
   bench::header("Table 3: avg/max fabric queue occupancy (KB) @ 10G hosts",
                 "Table 3, SIGCOMM'17");
   const std::vector<workload::WorkloadKind> kinds =

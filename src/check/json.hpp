@@ -39,7 +39,6 @@ class Json {
   static Json object();
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   // A number written as an unsigned integer literal (or built by u64()):
   // as_u64() is then exact. Signs, fractions and exponents are not.
   bool is_u64() const { return type_ == Type::kNumber && num_is_u64_; }

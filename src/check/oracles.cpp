@@ -203,6 +203,8 @@ ScenarioSpec rescale_spec(const ScenarioSpec& s, double f) {
   r.stop.warmup = s.stop.warmup * inv;
   r.stop.window = s.stop.window * inv;
   r.traffic.start_spread_sec = s.traffic.start_spread_sec * inv;
+  r.traffic.start_offset = s.traffic.start_offset * inv;
+  r.traffic.start_step = s.traffic.start_step * inv;
   r.telemetry.sample_interval = s.telemetry.sample_interval * inv;
   return r;
 }

@@ -156,6 +156,8 @@ void fields(auto& io, runner::TrafficSpec& t) {
   io("flows", t.flows);
   io("bytes", t.bytes);
   io("start_spread_sec", t.start_spread_sec);
+  io("start_offset_ps", t.start_offset, t.start_offset != sim::Time::zero());
+  io("start_step_ps", t.start_step, t.start_step != sim::Time::zero());
   io("tasks_per_host", t.tasks_per_host);
   io("workload", t.workload);
   io("load", t.load);

@@ -100,7 +100,6 @@ class ExpressPassConnection : public transport::Connection {
  private:
   // Sender side.
   void sender_on_packet(net::Packet&& p);
-  void on_credit(const net::Packet& credit);
   void send_request();
   void send_credit_stop();
   void arm_watchdog();

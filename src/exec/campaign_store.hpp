@@ -67,10 +67,6 @@ class CampaignStore {
   // unparseable entries are misses (nullopt) — counted, never thrown.
   std::optional<std::string> load(const std::string& key);
 
-  // True if a verified entry exists (same checks as load, without keeping
-  // the payload). Counts as a hit/miss/corrupt observation.
-  bool contains(const std::string& key) { return load(key).has_value(); }
-
   // Appends one line to the manifest journal (a trailing newline is added).
   // Best-effort: returns false on I/O failure.
   bool append_manifest(std::string_view line);

@@ -62,7 +62,6 @@ class Host : public Node {
 
   void receive(Packet&& p, Port& in) override;
 
-  HostDelayModel& delay_model() { return delay_model_; }
   void set_delay_model(HostDelayModel m) { delay_model_ = m; }
   sim::Time sample_credit_delay() { return delay_model_.sample(sim_.rng()); }
 

@@ -57,7 +57,6 @@ class LinkError {
   Outcome roll(const Packet& p);
 
   const LinkErrorConfig& config() const { return cfg_; }
-  bool in_bad_state() const { return bad_; }
 
  private:
   LinkErrorConfig cfg_;

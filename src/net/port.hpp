@@ -204,7 +204,6 @@ class Port {
   // Fault injection: per-frame error model on this direction of the link.
   void set_error_model(const LinkErrorConfig& cfg, uint64_t seed);
   void clear_error_model() { error_.reset(); }
-  const LinkError* error_model() const { return error_.get(); }
   const FaultStats& fault_stats() const { return fault_; }
 
  private:

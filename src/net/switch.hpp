@@ -71,9 +71,8 @@ class Switch : public Node {
   uint64_t unroutable_drops() const {
     return unroutable_data_ + unroutable_credits_;
   }
-  // Per-class split so the fault-conservation ledger can account lost
+  // The credit share, so the fault-conservation ledger can account lost
   // credits separately from lost data.
-  uint64_t unroutable_data() const { return unroutable_data_; }
   uint64_t unroutable_credits() const { return unroutable_credits_; }
 
  private:

@@ -1,11 +1,11 @@
 // Args: the one flag parser every bench / example / CLI shares.
 //
-// Replaces the per-binary hand-rolled loops (full_mode, jobs_arg, the
-// --runs/--seed scans) that each accepted a slightly different syntax and
-// silently swallowed malformed values (`--jobs garbage` used to fall back
-// to the default). Args accepts both `--name=value` and `--name value` for
-// every flag, validates numeric values strictly, and collects errors so
-// callers can print usage and exit (die_on_error) or assert in tests.
+// Replaces per-binary hand-rolled flag loops that each accepted a slightly
+// different syntax and silently swallowed malformed values (`--jobs
+// garbage` used to fall back to the default). Args accepts both
+// `--name=value` and `--name value` for every flag, validates numeric
+// values strictly, and collects errors so callers can print usage and exit
+// (die_on_error) or assert in tests.
 //
 // Usage:
 //   runner::Args args(argc, argv);

@@ -154,10 +154,11 @@ void add_traffic(const ScenarioSpec& spec, const TrafficSpec& tr,
                     : b.peers[i % b.peers.size()];
         if (s.dst == s.src) s.dst = b.hosts[(i + 1) % b.hosts.size()];
         s.size_bytes = tr.bytes;
+        s.start_time = tr.start_offset + tr.start_step * static_cast<double>(i);
         // One RNG draw per flow, in flow order, only when spreading — the
-        // stream position must match the hand-wired benches exactly.
+        // bench goldens pin the stream position.
         if (tr.start_spread_sec > 0) {
-          s.start_time =
+          s.start_time +=
               sim::Time::seconds(sim.rng().uniform(0.0, tr.start_spread_sec));
         }
         add_one(s);
@@ -507,9 +508,8 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
     res.bottleneck_tx_data_bytes = b.bottleneck->tx_data_bytes() - tx_before;
   }
 
-  // Sum and Jain fold over the tracker's traversal order — bit-identical to
-  // the snapshot_rates() path the hand-wired benches used — then sort by
-  // flow id for stable per-flow access.
+  // Sum and Jain fold over the tracker's traversal order, then sort by flow
+  // id for stable per-flow access.
   {
     std::vector<double> vals;
     vals.reserve(rate_pairs.size());

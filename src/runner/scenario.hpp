@@ -99,9 +99,12 @@ struct TrafficSpec {
   TrafficKind kind = TrafficKind::kPairwise;
   size_t flows = 2;  // pairwise count / incast fan-in / poisson flow count
   uint64_t bytes = transport::kLongRunning;
-  // Pairwise: each flow starts at U(0, start_spread_sec), drawn in flow
-  // order from the scenario RNG (0 = all start at t=0).
+  // Pairwise: flow i starts at start_offset + i * start_step (a staircase
+  // of joins; both zero = all at t=0), plus a U(0, start_spread_sec) draw
+  // per flow, in flow order, from the scenario RNG (0 = no draw).
   double start_spread_sec = 0;
+  sim::Time start_offset;
+  sim::Time start_step;
   size_t tasks_per_host = 4;  // shuffle
   workload::WorkloadKind workload = workload::WorkloadKind::kWebServer;
   double load = 0.6;  // poisson: target load on the ToR uplinks

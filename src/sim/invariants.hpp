@@ -5,11 +5,10 @@
 // code paths can report() a violation directly. Event-time monotonicity is
 // verified built-in on every sweep and report.
 //
-// Always compiled in. Under XPASS_SANITIZE (the asan preset) a violation is
-// fatal — the message goes to stderr and the process aborts, so CI catches
-// the first broken invariant at its source. In release builds violations are
-// counted and the first few messages retained for inspection, costing one
-// periodic sweep and nothing on the fast path.
+// Always compiled in, in every build. Violations are counted and the first
+// few messages retained, so a harness (or a test that injects a bug the
+// checker must catch) observes them; the cost is one periodic sweep and
+// nothing on the fast path.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +24,7 @@ namespace xpass::sim {
 
 class InvariantChecker {
  public:
-  enum class Mode { kCounting, kFatal };
-
-  static Mode default_mode() {
-#ifdef XPASS_SANITIZE
-    return Mode::kFatal;
-#else
-    return Mode::kCounting;
-#endif
-  }
-
-  explicit InvariantChecker(Simulator& sim, Mode mode = default_mode())
-      : sim_(sim), mode_(mode) {}
+  explicit InvariantChecker(Simulator& sim) : sim_(sim) {}
   ~InvariantChecker() { stop(); }
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
@@ -57,7 +45,6 @@ class InvariantChecker {
 
   uint64_t violations() const { return violations_; }
   uint64_t sweeps() const { return sweeps_; }
-  size_t num_checks() const { return checks_.size(); }
   // First kMaxMessages violation messages, for diagnostics.
   const std::vector<std::string>& messages() const { return messages_; }
 
@@ -69,7 +56,6 @@ class InvariantChecker {
   static constexpr size_t kMaxMessages = 32;
 
   Simulator& sim_;
-  Mode mode_;
   std::vector<std::pair<std::string, Check>> checks_;
   TimerId timer_;
   Time period_;

@@ -4,18 +4,6 @@
 
 namespace xpass::stats {
 
-std::vector<double> RateTracker::snapshot_rates(sim::Time window) {
-  std::vector<double> out;
-  out.reserve(bytes_.size());
-  const double sec = window.to_sec();
-  for (auto& [flow, b] : bytes_) {
-    (void)flow;
-    out.push_back(sec > 0 ? static_cast<double>(b) * 8.0 / sec : 0.0);
-    b = 0;
-  }
-  return out;
-}
-
 std::vector<std::pair<uint32_t, double>> RateTracker::snapshot_rates_ordered(
     sim::Time window) {
   std::vector<std::pair<uint32_t, double>> out;

@@ -19,16 +19,15 @@ class RateTracker {
     total_ += bytes;
   }
 
-  // Rates (bits/sec) accumulated since the last snapshot, then resets.
-  // `window` is the elapsed time since the previous snapshot.
-  std::vector<double> snapshot_rates(sim::Time window);
-  // Same but keyed by flow id.
-  std::unordered_map<uint32_t, double> snapshot_rates_by_flow(
-      sim::Time window);
-  // Same values as snapshot_rates(), tagged with their flow ids and in the
-  // identical traversal order — so a sum/fairness fold over the .second
-  // fields reproduces snapshot_rates()-based results bit-for-bit.
+  // Per-flow rates (bits/sec) accumulated since the last snapshot, then
+  // resets. `window` is the elapsed time since the previous snapshot. Only
+  // flows that have delivered a byte appear, in the tracker's traversal
+  // order, which a sum or fairness fold over them must keep to be
+  // reproducible bit-for-bit.
   std::vector<std::pair<uint32_t, double>> snapshot_rates_ordered(
+      sim::Time window);
+  // Same, keyed by flow id.
+  std::unordered_map<uint32_t, double> snapshot_rates_by_flow(
       sim::Time window);
 
   uint64_t total_bytes() const { return total_; }

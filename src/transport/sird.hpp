@@ -84,9 +84,6 @@ class SirdAllocator {
   // pointer is about to dangle).
   void remove(SirdConnection* c);
 
-  size_t rotation_size() const { return rotation_.size(); }
-  bool pumping() const { return sched_.running(); }
-
  private:
   bool emit_grant();
 
@@ -114,7 +111,6 @@ class SirdConnection : public Connection {
   void send_grant();
 
   const GrantLedger& ledger() const { return ledger_; }
-  uint64_t grants_sent() const { return grant_seq_; }
 
  private:
   friend class SirdAllocator;

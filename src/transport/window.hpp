@@ -65,7 +65,6 @@ class WindowConnection : public Connection {
   void exit_slow_start() { ssthresh_ = cwnd_; }
   uint64_t snd_una() const { return snd_una_; }
   uint64_t snd_nxt() const { return snd_nxt_; }
-  uint64_t total_pkts() const { return total_pkts_; }
 
  private:
   void handle_data(const net::Packet& p);

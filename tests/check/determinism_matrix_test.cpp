@@ -65,6 +65,7 @@ TEST(DeterminismMatrix, EveryProtocolThreeSeedsTwoRuns) {
       EXPECT_EQ(a.sum_rate_bps, b.sum_rate_bps) << spec.name;
       EXPECT_EQ(a.max_switch_queue_bytes, b.max_switch_queue_bytes)
           << spec.name;
+      EXPECT_EQ(a.invariant_violations, 0u) << spec.name;
 
       // Different seeds must actually reach the RNG: a protocol whose runs
       // are seed-invariant would make the 3-seed sweep vacuous. The stop
@@ -120,6 +121,7 @@ TEST(DeterminismMatrix, MixedProtocolCoexistenceTwoRuns) {
         << "seed " << seed << ": recorder JSON differs";
     EXPECT_EQ(a.end_time, b.end_time);
     EXPECT_EQ(a.sum_rate_bps, b.sum_rate_bps);
+    EXPECT_EQ(a.invariant_violations, 0u) << "seed " << seed;
     ASSERT_EQ(a.groups.size(), 3u);
     ASSERT_EQ(b.groups.size(), 3u);
     for (size_t g = 0; g < a.groups.size(); ++g) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "check/fuzzer.hpp"
 #include "check/oracles.hpp"
@@ -147,6 +148,29 @@ TEST(Injections, SilentDataLossCaughtByZeroDataLoss) {
   const ScenarioSpec s = silent_loss_scenario();
   expect_verdict(s, "zero-data-loss", "silent-data-loss", false);
   expect_verdict(s, "zero-data-loss", "", true);
+}
+
+// --- rescale transform -----------------------------------------------------
+
+TEST(Oracles, RescaleScalesTheStartStaircase) {
+  // 2x link speed runs every time constant at 1/2, pairwise start times
+  // included.
+  ScenarioSpec s;
+  s.topology.scale = 2;
+  s.stop = StopSpec::measure_window(Time::ms(10), Time::ms(10));
+  s.traffic.start_spread_sec = 2e-3;
+  s.traffic.start_offset = Time::ms(3);
+  s.traffic.start_step = Time::us(500);
+  std::vector<ScenarioSpec> runs;
+  const RunFn record = [&runs](const ScenarioSpec& spec) {
+    runs.push_back(spec);
+    return xpass::runner::ScenarioResult{};
+  };
+  ASSERT_TRUE(OracleSuite().evaluate_one("rescale", s, record).has_value());
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1].traffic.start_spread_sec, 1e-3);
+  EXPECT_EQ(runs[1].traffic.start_offset, Time::us(1500));
+  EXPECT_EQ(runs[1].traffic.start_step, Time::us(250));
 }
 
 // --- shrinking -------------------------------------------------------------

@@ -237,7 +237,8 @@ TEST(SpecJson, LegacySpecsOmitCoexistenceKeys) {
   spec.traffic.flows = 4;
   const std::string text = spec_to_json(spec);
   for (const char* key :
-       {"flow_groups", "link_jitter_ps", "on_period_sec", "on_duty"}) {
+       {"flow_groups", "link_jitter_ps", "on_period_sec", "on_duty",
+        "start_offset_ps", "start_step_ps"}) {
     EXPECT_EQ(text.find(key), std::string::npos)
         << key << " leaked into a legacy spec:\n" << text;
   }
@@ -333,6 +334,10 @@ TEST(SpecJson, RejectsWhatTheTableDoesNotDescribe) {
       {R"("stop":{"horizon_ps":18446744073709551615})",
        "'stop.horizon_ps': expected an integer in [0, 9223372036854775807]"},
       {R"("traffic":{"flows":8,"flows":64})", "duplicate key 'flows'"},
+      {R"("traffic":{"start_offset_ps":-5})",
+       "'traffic.start_offset_ps': expected an integer"},
+      {R"("traffic":{"start_step_ps":2.5})",
+       "'traffic.start_step_ps': expected an integer"},
   };
   for (const auto& c : cases) {
     const std::string doc =
@@ -407,12 +412,20 @@ TEST(SpecJson, TimesSurviveAsExactPicoseconds) {
   spec.base_rtt = Time::ps(123456789);
   spec.stop = xpass::runner::StopSpec::measure_window(Time::ps(999999999999),
                                                       Time::ps(1));
+  spec.traffic.start_offset = Time::ms(10);
+  spec.traffic.start_step = Time::ps(2'000'000'001);
+  const std::string text = spec_to_json(spec);
+  EXPECT_NE(text.find("\"start_offset_ps\": 10000000000"), std::string::npos);
+  EXPECT_NE(text.find("\"start_step_ps\": 2000000001"), std::string::npos);
   std::string err;
-  auto back = spec_from_json(spec_to_json(spec), &err);
+  auto back = spec_from_json(text, &err);
   ASSERT_TRUE(back.has_value()) << err;
   EXPECT_EQ(back->base_rtt, spec.base_rtt);
   EXPECT_EQ(back->stop.warmup, spec.stop.warmup);
   EXPECT_EQ(back->stop.window, spec.stop.window);
+  EXPECT_EQ(back->traffic.start_offset, spec.traffic.start_offset);
+  EXPECT_EQ(back->traffic.start_step, spec.traffic.start_step);
+  EXPECT_EQ(spec_to_json(*back), text);
 }
 
 }  // namespace

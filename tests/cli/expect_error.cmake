@@ -2,7 +2,8 @@
 # EXIT_CODE and that its stderr contains every |-separated fragment of
 # EXPECT. Used to pin that the CLI reports rejected specs as a usage error
 # (exit 2 plus a message) instead of dying on an uncaught exception, and
-# that bench_core rejects bad flags and output paths up front.
+# that the benches reject bad flags (and bench_core bad output paths) up
+# front.
 if(NOT DEFINED BIN OR NOT DEFINED EXIT_CODE OR NOT DEFINED EXPECT)
   message(FATAL_ERROR "expect_error.cmake needs -DBIN, -DEXIT_CODE, -DEXPECT")
 endif()

@@ -2,8 +2,9 @@
 # and byte-compares it against GOLDEN. Any difference fails the test and
 # leaves the actual output at OUT for inspection (`diff GOLDEN OUT`).
 #
-# The goldens under tests/golden/ were captured from the hand-wired benches
-# immediately before the ScenarioEngine port; these tests pin the engine's
+# Each golden under tests/golden/ was captured from its bench before the
+# bench was ported onto the ScenarioEngine (or, for a bench that was never
+# hand-wired, before a change that could move it); these tests pin the
 # "byte-identical default-mode output" guarantee. Regenerate a golden only
 # for an intentional behavior change: `<bench> [args] > golden_<bench>.txt`.
 if(NOT DEFINED BIN OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)

@@ -57,7 +57,7 @@ TEST(FaultMatrix, FlowsSurviveFlapPlusCreditCorruption) {
   runner::apply_fault_scenario(sc, inj, *d.left, *d.right);
   plan.arm(sim);
 
-  sim::InvariantChecker chk(sim, sim::InvariantChecker::Mode::kCounting);
+  sim::InvariantChecker chk(sim);
   runner::register_network_invariants(chk, topo, driver, &plan);
   chk.start(Time::us(100));
 
@@ -231,7 +231,7 @@ TEST(FaultMatrix, ScenarioGridSurvivesUnderParallelSweep) {
     sc.errors.data_drop = c.data_drop;
     runner::apply_fault_scenario(sc, inj, *d.left, *d.right);
     plan.arm(sim);
-    sim::InvariantChecker chk(sim, sim::InvariantChecker::Mode::kCounting);
+    sim::InvariantChecker chk(sim);
     runner::register_network_invariants(chk, topo, driver, &plan);
     chk.start(Time::us(100));
     CellResult r;
@@ -283,7 +283,7 @@ TEST(FaultMatrix, HealthyRunHasZeroViolations) {
     driver.add(s);
   }
 
-  sim::InvariantChecker chk(sim, sim::InvariantChecker::Mode::kCounting);
+  sim::InvariantChecker chk(sim);
   runner::NetInvariantOptions opts;
   // Generous but finite: a healthy 8-flow dumbbell stays in the low tens of
   // KB (the §3.1 zero-loss argument); 100KB catches runaway growth without

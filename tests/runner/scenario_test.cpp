@@ -113,6 +113,29 @@ TEST(ScenarioEngine, SamplingDoesNotPerturbResults) {
   EXPECT_EQ(a.jain, b.jain);
 }
 
+TEST(ScenarioEngine, PairwiseStartStaircase) {
+  // Flow i starts at start_offset + i * start_step: its cumulative bytes
+  // stay zero at every sample before that, and it delivers after it.
+  auto s = small_dumbbell(Protocol::kExpressPass);
+  s.traffic.start_offset = Time::us(300);
+  s.traffic.start_step = Time::ms(1);
+  s.stop = runner::StopSpec::run_for(Time::ms(6));
+  s.telemetry.sample_interval = Time::us(100);
+  s.telemetry.flow_rate_series = true;
+  const auto r = runner::ScenarioEngine().run(s);
+  for (uint32_t id = 1; id <= 4; ++id) {
+    const Time start = s.traffic.start_offset + s.traffic.start_step * (id - 1);
+    const auto& series =
+        r.recorder.series().at("flow." + std::to_string(id) + ".bytes");
+    for (size_t k = 0; k < series.v.size(); ++k) {
+      if (Time::seconds(series.t_sec[k]) <= start) {
+        EXPECT_EQ(series.v[k], 0.0) << "flow " << id << " at sample " << k;
+      }
+    }
+    EXPECT_GT(series.v.back(), 0.0) << "flow " << id;
+  }
+}
+
 TEST(ScenarioEngine, FaultPlanFiresAndIsReported) {
   auto s = small_dumbbell(Protocol::kExpressPass);
   s.stop = runner::StopSpec::run_for(Time::ms(10));
@@ -124,6 +147,7 @@ TEST(ScenarioEngine, FaultPlanFiresAndIsReported) {
   EXPECT_GE(r.fault_totals.failures, 1u);
   EXPECT_GE(r.fault_totals.recoveries, 1u);
   EXPECT_GT(r.invariant_sweeps, 0u);
+  EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_TRUE(r.recorder.has("faults.fired"));
   EXPECT_TRUE(r.recorder.has("invariants.sweeps"));
 }

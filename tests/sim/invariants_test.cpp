@@ -9,15 +9,9 @@
 namespace xpass::sim {
 namespace {
 
-// Tests force kCounting: under the asan preset the default mode is kFatal
-// and an intentional violation would abort the test binary.
-InvariantChecker make_counting(Simulator& sim) {
-  return InvariantChecker(sim, InvariantChecker::Mode::kCounting);
-}
-
 TEST(Invariants, PeriodicSweepRunsRegisteredChecks) {
   Simulator sim;
-  auto chk = make_counting(sim);
+  InvariantChecker chk(sim);
   int calls = 0;
   chk.add_check("counter", [&] {
     ++calls;
@@ -32,7 +26,7 @@ TEST(Invariants, PeriodicSweepRunsRegisteredChecks) {
 
 TEST(Invariants, FailingCheckCountsAndRecordsMessage) {
   Simulator sim;
-  auto chk = make_counting(sim);
+  InvariantChecker chk(sim);
   bool broken = false;
   chk.add_check("sometimes", [&] {
     return broken ? std::string("the invariant broke") : std::string();
@@ -50,7 +44,7 @@ TEST(Invariants, FailingCheckCountsAndRecordsMessage) {
 
 TEST(Invariants, ReportIsImmediate) {
   Simulator sim;
-  auto chk = make_counting(sim);
+  InvariantChecker chk(sim);
   chk.report("instrumented-path", "saw a negative queue");
   EXPECT_EQ(chk.violations(), 1u);
   ASSERT_EQ(chk.messages().size(), 1u);
@@ -59,7 +53,7 @@ TEST(Invariants, ReportIsImmediate) {
 
 TEST(Invariants, StopEndsSweeps) {
   Simulator sim;
-  auto chk = make_counting(sim);
+  InvariantChecker chk(sim);
   chk.add_check("noop", [] { return std::string(); });
   chk.start(Time::us(100));
   sim.run_until(Time::us(250));
@@ -70,7 +64,7 @@ TEST(Invariants, StopEndsSweeps) {
 
 TEST(Invariants, MessageCapBoundsMemory) {
   Simulator sim;
-  auto chk = make_counting(sim);
+  InvariantChecker chk(sim);
   for (int i = 0; i < 100; ++i) chk.report("flood", "again");
   EXPECT_EQ(chk.violations(), 100u);
   EXPECT_LE(chk.messages().size(), 32u);
