@@ -2,8 +2,6 @@
 
 #include <cstdarg>
 #include <filesystem>
-#include <fstream>
-#include <unordered_set>
 
 #include "check/spec_json.hpp"
 #include "exec/sweep_runner.hpp"
@@ -85,49 +83,6 @@ void log_line(std::FILE* log, const char* fmt, ...) {
   std::fflush(log);
 }
 
-// Journal lines: one single-line JSON verdict per finished scenario, so a
-// SIGKILLed campaign can resume past everything it already judged. Only
-// complete (newline-terminated) lines count; the torn tail re-runs.
-constexpr std::string_view kJournalSchema = "xpass.fuzz.journal.v1";
-
-std::string journal_line(const FuzzOptions& opts, size_t index,
-                         const char* verdict, const std::string& oracle) {
-  Json doc = Json::object();
-  doc.set("schema", Json::str(std::string(kJournalSchema)));
-  doc.set("seed", Json::u64(opts.seed));
-  doc.set("inject", Json::str(opts.inject));
-  doc.set("index", Json::u64(index));
-  doc.set("verdict", Json::str(verdict));
-  doc.set("oracle", Json::str(oracle));
-  return doc.dump();
-}
-
-// Indices already journaled *clean* for this exact (seed, inject) stream.
-// Failures are deliberately not skipped: re-running them re-produces the
-// failure record (and its shrink) deterministically, so a resumed report
-// never silently loses a bug.
-std::unordered_set<size_t> journaled_clean(const FuzzOptions& opts) {
-  std::unordered_set<size_t> done;
-  std::ifstream in(opts.journal, std::ios::binary);
-  if (!in) return done;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  size_t start = 0;
-  for (;;) {
-    const size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) break;  // drop the torn tail
-    const std::string line = content.substr(start, nl - start);
-    start = nl + 1;
-    auto doc = Json::parse(line, nullptr);
-    if (!doc || doc->get_string("schema", "") != kJournalSchema) continue;
-    if (doc->get_u64("seed", 0) != opts.seed) continue;
-    if (doc->get_string("inject", "") != opts.inject) continue;
-    if (doc->get_string("verdict", "") != "clean") continue;
-    done.insert(static_cast<size_t>(doc->get_u64("index", 0)));
-  }
-  return done;
-}
-
 std::string write_repro(const FuzzFailure& f, const FuzzOptions& opts) {
   std::error_code ec;
   std::filesystem::create_directories(opts.out_dir, ec);
@@ -174,25 +129,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::FILE* log) {
     return engine.run(executed);
   };
 
-  std::unordered_set<size_t> done;
-  if (opts.resume && !opts.journal.empty()) done = journaled_clean(opts);
-  std::ofstream journal;
-  if (!opts.journal.empty()) {
-    journal.open(opts.journal, std::ios::binary | std::ios::app);
-  }
-  const auto journal_verdict = [&](size_t i, const char* verdict,
-                                   const std::string& oracle) {
-    if (!journal.is_open()) return;
-    journal << journal_line(opts, i, verdict, oracle) << '\n';
-    journal.flush();  // a verdict not on disk is a verdict that never was
-  };
-
   for (size_t i = 0; i < opts.count; ++i) {
-    if (done.count(i) != 0) {
-      ++report.resumed;
-      if (opts.verbose) log_line(log, "[%zu] resumed (journaled clean)", i);
-      continue;
-    }
     sim::Rng rng(exec::task_seed(opts.seed, i));
     const ScenarioSpec spec = generate_spec(rng, i, opts.gen);
     const auto findings = suite.evaluate(spec, run);
@@ -211,10 +148,8 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::FILE* log) {
                  spec.name.c_str(), (unsigned long long)spec.seed,
                  findings.size());
       }
-      journal_verdict(i, "clean", "");
       continue;
     }
-    journal_verdict(i, "fail", failed->oracle);
 
     log_line(log, "[%zu] %s seed=%llu FAIL oracle=%s: %s", i,
              spec.name.c_str(), (unsigned long long)spec.seed,

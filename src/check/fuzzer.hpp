@@ -51,13 +51,6 @@ struct FuzzOptions {
   std::string inject;   // hidden mutation on every executed spec
   std::string out_dir;  // repro JSON target directory ("" = don't write)
   bool verbose = false;
-  // Crash-safe campaigns: `journal` appends one verdict line per finished
-  // scenario (schema xpass.fuzz.journal.v1); with `resume`, scenarios whose
-  // (seed, inject, index) verdict is already journaled are skipped — a
-  // killed campaign re-runs only what it never finished. A torn final line
-  // (the SIGKILL artifact) is ignored, so that scenario simply re-runs.
-  std::string journal;
-  bool resume = false;
 };
 
 struct FuzzFailure {
@@ -72,7 +65,6 @@ struct FuzzFailure {
 struct FuzzReport {
   size_t scenarios = 0;  // scenarios generated and judged
   size_t engine_runs = 0;  // total ScenarioEngine::run calls (incl. shrink)
-  size_t resumed = 0;  // scenarios skipped via a journaled verdict
   std::vector<FuzzFailure> failures;
   bool clean() const { return failures.empty(); }
 };

@@ -11,8 +11,6 @@
 
 #include <algorithm>
 
-#include "transport/credit_sched.hpp"
-
 namespace xpass::core {
 
 struct FeedbackParams {
@@ -24,14 +22,14 @@ struct FeedbackParams {
   double target_loss = 0.1;
 };
 
-class CreditFeedback : public transport::FeedbackController {
+class CreditFeedback {
  public:
   explicit CreditFeedback(const FeedbackParams& p)
       : p_(p), w_(p.w_init), rate_(p.init_rate) {}
 
   // One update period elapsed with the given measured credit loss fraction;
   // returns the new credit sending rate.
-  double update(double credit_loss) override {
+  double update(double credit_loss) {
     if (credit_loss <= p_.target_loss) {
       if (prev_increasing_) w_ = (w_ + p_.w_max) / 2.0;
       rate_ = (1.0 - w_) * rate_ +
@@ -46,7 +44,7 @@ class CreditFeedback : public transport::FeedbackController {
     return rate_;
   }
 
-  double rate() const override { return rate_; }
+  double rate() const { return rate_; }
   double w() const { return w_; }
   bool increasing() const { return prev_increasing_; }
   const FeedbackParams& params() const { return p_; }

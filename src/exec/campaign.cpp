@@ -7,8 +7,19 @@
 #include "check/fuzzer.hpp"
 #include "check/json.hpp"
 #include "check/spec_json.hpp"
+#include "exec/sweep_runner.hpp"
 
 namespace xpass::exec {
+
+std::string_view task_status_name(TaskStatus s) {
+  switch (s) {
+    case TaskStatus::kOk: return "ok";
+    case TaskStatus::kFailed: return "failed";
+    case TaskStatus::kTimedOut: return "timed-out";
+    case TaskStatus::kOverBudget: return "over-budget";
+  }
+  return "?";
+}
 
 namespace {
 
@@ -43,7 +54,6 @@ std::string manifest_line(size_t index, const runner::ScenarioSpec& spec,
   doc.set("status",
           check::Json::str(std::string(task_status_name(t.outcome.status))));
   doc.set("cache_hit", check::Json::boolean(t.cache_hit));
-  doc.set("attempts", check::Json::u64(t.outcome.attempts));
   if (!t.outcome.error.empty()) {
     doc.set("error", check::Json::str(t.outcome.error));
   }
@@ -85,62 +95,50 @@ CampaignReport run_campaign(const std::vector<runner::ScenarioSpec>& specs,
       if (std::optional<std::string> payload = store->load(t.key)) {
         t.cache_hit = true;
         t.payload = std::move(*payload);
-        t.outcome.status = TaskStatus::kOk;
-        t.outcome.attempts = 0;  // attempts count executions, not loads
         continue;
       }
     }
     pending.push_back(i);
   }
 
-  RetryPolicy policy;
-  policy.max_attempts = opts.retries + 1;
-  policy.backoff_base_ms = opts.backoff_base_ms;
-  policy.jitter_seed = opts.seed;
-
   // The store handle is not thread-safe (counters, temp-name sequence);
   // publish under a mutex. The simulation itself runs outside the lock.
+  // Each task catches its own exception, so map() never cancels: every
+  // pending spec runs once and fails alone.
   std::mutex store_mu;
-  std::vector<TaskStatus> fresh_status(pending.size(), TaskStatus::kOk);
-
   SweepRunner pool(opts.jobs);
-  std::vector<TaskOutcome> outcomes = pool.run_tasks(
-      pending.size(),
-      [&](size_t j) {
-        const size_t i = pending[j];
-        runner::RunOverrides ov;
-        ov.wall_clock_ms = opts.timeout_ms;
-        runner::ScenarioResult res = run_spec(specs[i], ov);  // may throw
-        const FreshVerdict v = classify(res);
-        std::string payload = res.recorder.to_json(res.name);
-        const std::lock_guard<std::mutex> lock(store_mu);
-        CampaignTaskResult& t = report.tasks[i];
-        t.payload = std::move(payload);
-        t.result = std::move(res);
-        // Publish immediately: the store is the crash-safe ground truth. A
-        // SIGKILL one instruction after this line loses nothing.
-        if (store && v.cacheable) t.cached = store->store(t.key, t.payload);
-        // Truncations are results, not failures: report kOk to the pool so
-        // fail_fast only trips on genuine (exception) failures, and keep
-        // the real disposition in fresh_status.
-        fresh_status[j] = v.status;
-      },
-      policy, opts.fail_fast);
-
-  for (size_t j = 0; j < pending.size(); ++j) {
-    CampaignTaskResult& t = report.tasks[pending[j]];
-    t.outcome = outcomes[j];
-    if (t.outcome.status == TaskStatus::kOk) {
-      t.outcome.status = fresh_status[j];
+  std::vector<TaskOutcome> outcomes = pool.map(pending.size(), [&](size_t j) {
+    const size_t i = pending[j];
+    TaskOutcome out;
+    try {
+      runner::RunOverrides ov;
+      ov.wall_clock_ms = opts.timeout_ms;
+      runner::ScenarioResult res = run_spec(specs[i], ov);
+      const FreshVerdict v = classify(res);
+      std::string payload = res.recorder.to_json(res.name);
+      const std::lock_guard<std::mutex> lock(store_mu);
+      CampaignTaskResult& t = report.tasks[i];
+      t.payload = std::move(payload);
+      t.result = std::move(res);
+      // Publish immediately: the store is the crash-safe ground truth. A
+      // SIGKILL one instruction after this line loses nothing.
+      if (store && v.cacheable) t.cached = store->store(t.key, t.payload);
+      out.status = v.status;
+    } catch (const std::exception& e) {
+      out = {TaskStatus::kFailed, e.what()};
+    } catch (...) {
+      out = {TaskStatus::kFailed, "unknown exception"};
     }
-  }
+    return out;
+  });
 
-  // Quarantine: every task that failed all attempts gets a replayable
-  // fuzz-format repro embedding the exact spec. Deliberately reuses the
-  // fuzzer's schema so `fuzz_scenarios --repro <file>` needs no new mode.
+  // Quarantine: every task that threw gets a replayable fuzz-format repro
+  // embedding the exact spec. Deliberately reuses the fuzzer's schema so
+  // `fuzz_scenarios --repro <file>` needs no new mode.
   for (size_t j = 0; j < pending.size(); ++j) {
     const size_t i = pending[j];
     CampaignTaskResult& t = report.tasks[i];
+    t.outcome = std::move(outcomes[j]);
     if (t.outcome.status != TaskStatus::kFailed || !store) continue;
     check::FuzzFailure f;
     f.index = i;
@@ -179,9 +177,6 @@ CampaignReport run_campaign(const std::vector<runner::ScenarioSpec>& specs,
         break;
       case TaskStatus::kFailed:
         ++report.quarantined;
-        break;
-      case TaskStatus::kSkipped:
-        ++report.skipped;
         break;
     }
   }

@@ -5,13 +5,14 @@
 // campaign assumes the opposite — tasks hang, throw, blow budgets, and the
 // process itself gets SIGKILLed mid-flight — and guarantees three things:
 //
-//  1. Isolation. Each spec runs under SweepRunner::run_tasks: an exception
-//     is caught per task, retried with exponential backoff + seeded jitter
-//     (covering transient causes: OOM-adjacent allocation failure, flaky
-//     filesystem), and — if it fails every attempt — quarantined. The
-//     quarantine artifact is a standard `xpass.fuzz.repro.v1` file holding
-//     the exact spec, so `fuzz_scenarios --repro <file>` replays the crash
-//     with zero extra tooling. The rest of the campaign is unaffected.
+//  1. Isolation. Each pending spec is one SweepRunner::map task that
+//     catches its own exception, so one throwing spec is a quarantined
+//     data point, not a dead campaign. A run depends only on (spec, seed),
+//     so a spec that throws once throws on every attempt: each runs once.
+//     The quarantine artifact is a standard `xpass.fuzz.repro.v1` file
+//     holding the exact spec, so `fuzz_scenarios --repro <file>` replays
+//     the crash with zero extra tooling. The rest of the campaign is
+//     unaffected.
 //
 //  2. Budget discipline. opts.timeout_ms arms a wall-clock RunBudget on
 //     every run (on top of any per-spec budget): a hanging spec becomes a
@@ -40,13 +41,27 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/campaign_store.hpp"
-#include "exec/sweep_runner.hpp"
 #include "runner/scenario.hpp"
 
 namespace xpass::exec {
+
+enum class TaskStatus : uint8_t {
+  kOk,
+  kFailed,      // threw; `error` holds the exception text
+  kTimedOut,    // wall-clock budget tripped (machine-dependent truncation)
+  kOverBudget,  // deterministic budget tripped (event / sim-time / live cap)
+};
+std::string_view task_status_name(TaskStatus s);
+
+struct TaskOutcome {
+  TaskStatus status = TaskStatus::kOk;
+  std::string error;  // exception text for kFailed, else empty
+  bool ok() const { return status == TaskStatus::kOk; }
+};
 
 struct CampaignOptions {
   // Result store directory; "" disables caching (every spec always runs,
@@ -55,17 +70,10 @@ struct CampaignOptions {
   // With a cache_dir: serve verified store entries instead of re-running.
   // Off, the store is write-only (results publish, but every spec runs).
   bool resume = false;
-  // Extra attempts for tasks that throw (0 = fail on first exception).
-  size_t retries = 0;
-  double backoff_base_ms = 25.0;
   // Per-task wall-clock budget in ms (0 = none). Applied as a RunBudget
   // override on top of any spec-level budget.
   double timeout_ms = 0;
   size_t jobs = 0;  // 0 = default_jobs()
-  // Stop scheduling new tasks after the first hard failure (timeouts and
-  // budget truncations are results, not failures, and do not trip this).
-  bool fail_fast = false;
-  uint64_t seed = 1;  // retry-jitter stream selector
 };
 
 struct CampaignTaskResult {
@@ -88,16 +96,15 @@ struct CampaignReport {
   size_t quarantined = 0;
   size_t timed_out = 0;
   size_t over_budget = 0;
-  size_t skipped = 0;
-  bool all_usable() const { return quarantined == 0 && skipped == 0; }
+  bool all_usable() const { return quarantined == 0; }
 };
 
 inline constexpr std::string_view kManifestSchema =
     "xpass.campaign.manifest.v1";
 
 // Executes a spec under merged budgets and returns its result. Injectable
-// so tests can model hangs, crashes and flaky failures without building
-// real pathological topologies.
+// so tests can model hangs, crashes and budget truncations without
+// building real pathological topologies.
 using RunSpecFn = std::function<runner::ScenarioResult(
     const runner::ScenarioSpec&, const runner::RunOverrides&)>;
 

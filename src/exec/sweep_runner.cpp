@@ -1,6 +1,5 @@
 #include "exec/sweep_runner.hpp"
 
-#include <chrono>
 #include <cstdlib>
 
 namespace xpass::exec {
@@ -21,41 +20,6 @@ size_t default_jobs() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? hw : 1;
-}
-
-std::string_view task_status_name(TaskStatus s) {
-  switch (s) {
-    case TaskStatus::kOk: return "ok";
-    case TaskStatus::kFailed: return "failed";
-    case TaskStatus::kTimedOut: return "timed-out";
-    case TaskStatus::kOverBudget: return "over-budget";
-    case TaskStatus::kSkipped: return "skipped";
-  }
-  return "?";
-}
-
-double backoff_delay_ms(const RetryPolicy& policy, uint64_t task,
-                        uint64_t attempt) {
-  if (policy.backoff_base_ms <= 0 || attempt == 0) return 0;
-  // Exponential: base * 2^(attempt-1), saturating at the cap before the
-  // jitter scale so the cap bounds the *maximum* delay, jitter included.
-  double delay = policy.backoff_base_ms;
-  for (uint64_t a = 1; a < attempt && delay < policy.backoff_cap_ms; ++a) {
-    delay *= 2;
-  }
-  if (delay > policy.backoff_cap_ms) delay = policy.backoff_cap_ms;
-  // Seeded jitter in [0.5, 1.0]: decorrelates retry storms across tasks
-  // while staying a pure function of (seed, task, attempt). Reuses the
-  // task_seed splitmix so the draw quality matches the per-task RNG seeds.
-  const uint64_t draw = task_seed(policy.jitter_seed ^ (attempt * 0x9e3779b9ULL),
-                                  task);
-  const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;  // [0, 1)
-  return delay * (0.5 + 0.5 * u);
-}
-
-void SweepRunner::sleep_ms(double ms) {
-  if (ms <= 0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 }  // namespace xpass::exec

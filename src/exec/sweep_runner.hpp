@@ -3,36 +3,26 @@
 // A sweep is N independent simulations (protocol x flow-count grids, seed
 // replications, fault matrices). Each task builds its own Simulator, so
 // tasks share no mutable state and the only coordination is an atomic work
-// counter. Two properties make parallel sweeps safe to adopt everywhere:
+// counter. Results land in a pre-sized vector at their task index, so the
+// reduced output is byte-identical for any worker count — the interleaving
+// only affects wall-clock, never content. Per-task seeds come from
+// task_seed(base, index), a pure function of the pair.
 //
-//  * Determinism: results land in a pre-sized vector at their task index,
-//    so the reduced output is byte-identical for any worker count — the
-//    interleaving only affects wall-clock, never content. Per-task seeds
-//    come from task_seed(base, index), a pure function of the pair.
+// The first task exception stops workers from scheduling further tasks
+// (already-running siblings finish) and is rethrown on the caller after the
+// drain. A caller that wants every task to run past failures (a campaign)
+// catches inside its task function.
 //
-//  * Task isolation: run_tasks() catches every task exception where it
-//    happens, retries per RetryPolicy (exponential backoff with seeded
-//    jitter), and records a per-task TaskOutcome — one crashing task is a
-//    quarantinable data point, not a dead campaign. The legacy map() keeps
-//    fail-fast semantics (first exception rethrown on the caller), but
-//    cooperatively cancels: once a task has failed, workers stop
-//    *scheduling* new tasks instead of burning CPU on a sweep whose result
-//    is already doomed.
-//
-// With jobs == 1 (or a single task) everything runs inline on the caller's
-// thread — no pool, no atomics — which is also the mode the determinism
-// tests compare against.
+// With jobs == 1 (or a single task) everything runs in index order on the
+// caller's thread — no pool — which is also the mode the determinism tests
+// compare against.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace xpass::exec {
@@ -46,40 +36,6 @@ uint64_t task_seed(uint64_t base_seed, uint64_t task_index);
 // Worker count when the caller does not choose: the XPASS_JOBS environment
 // variable if set (clamped to >= 1), else std::thread::hardware_concurrency.
 size_t default_jobs();
-
-// --- task isolation -------------------------------------------------------
-
-enum class TaskStatus : uint8_t {
-  kOk,
-  kFailed,      // threw on every attempt; `error` holds the exception text
-  kTimedOut,    // wall-clock budget tripped (machine-dependent truncation)
-  kOverBudget,  // deterministic budget tripped (event / sim-time / live cap)
-  kSkipped,     // never started: a fail-fast sibling cancelled the sweep
-};
-std::string_view task_status_name(TaskStatus s);
-
-struct TaskOutcome {
-  TaskStatus status = TaskStatus::kSkipped;
-  std::string error;      // exception text for kFailed, else empty
-  uint32_t attempts = 0;  // execution attempts made (0 = skipped)
-  bool ok() const { return status == TaskStatus::kOk; }
-};
-
-// Retry shape for transient task failures (same exponential-backoff+jitter
-// family as the PR 2 ExpressPass watchdog, but wall-clock): retry `attempt`
-// sleeps backoff_base_ms * 2^(attempt-1), capped, scaled by a seeded jitter
-// draw in [0.5, 1.0] so a fleet of failed tasks does not retry in lockstep.
-struct RetryPolicy {
-  size_t max_attempts = 1;  // total attempts per task (1 = never retry)
-  double backoff_base_ms = 25.0;
-  double backoff_cap_ms = 2000.0;
-  uint64_t jitter_seed = 1;
-};
-
-// Pure function of (policy, task, attempt): the delay slept before retry
-// `attempt` (1-based) of task `task`. Deterministic for tests.
-double backoff_delay_ms(const RetryPolicy& policy, uint64_t task,
-                        uint64_t attempt);
 
 class SweepRunner {
  public:
@@ -96,62 +52,18 @@ class SweepRunner {
   template <typename Fn>
   auto map(size_t n, Fn&& fn) -> std::vector<decltype(fn(size_t{}))> {
     std::vector<decltype(fn(size_t{}))> results(n);
-    run_indexed(n, [&](size_t i) { results[i] = fn(i); });
-    return results;
-  }
-
-  // Isolated execution: fn(i) returns a TaskStatus (or void, meaning kOk on
-  // normal return) and may throw. Every exception is caught in the worker,
-  // the task is retried per `policy`, and the final disposition lands in
-  // the returned index-ordered outcome vector — the sweep itself never
-  // throws. With fail_fast, the first non-ok outcome stops *scheduling*:
-  // already-running siblings finish, unstarted tasks stay kSkipped.
-  template <typename Fn>
-  std::vector<TaskOutcome> run_tasks(size_t n, Fn&& fn,
-                                     const RetryPolicy& policy = {},
-                                     bool fail_fast = false) {
-    std::vector<TaskOutcome> outcomes(n);
     std::atomic<bool> cancelled{false};
+    std::exception_ptr first_error;
+    std::mutex error_mu;
     auto body = [&](size_t i) {
-      TaskOutcome& out = outcomes[i];
-      for (uint32_t attempt = 1;; ++attempt) {
-        out.attempts = attempt;
-        try {
-          if constexpr (std::is_void_v<decltype(fn(size_t{}))>) {
-            fn(i);
-            out.status = TaskStatus::kOk;
-          } else {
-            out.status = fn(i);
-          }
-          out.error.clear();
-          break;
-        } catch (const std::exception& e) {
-          out.status = TaskStatus::kFailed;
-          out.error = e.what();
-        } catch (...) {
-          out.status = TaskStatus::kFailed;
-          out.error = "unknown exception";
-        }
-        if (attempt >= policy.max_attempts) break;
-        sleep_ms(backoff_delay_ms(policy, i, attempt));
+      try {
+        results[i] = fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+        cancelled.store(true);
       }
-      if (fail_fast && !out.ok()) cancelled.store(true);
     };
-    run_cancellable(n, cancelled, body);
-    return outcomes;
-  }
-
- private:
-  static void sleep_ms(double ms);
-
-  // Pulls indices until exhausted or `cancelled`; body(i) must not throw.
-  template <typename Body>
-  void run_cancellable(size_t n, std::atomic<bool>& cancelled, Body&& body) {
-    const size_t workers = jobs_ < n ? jobs_ : n;
-    if (workers <= 1) {
-      for (size_t i = 0; i < n && !cancelled.load(); ++i) body(i);
-      return;
-    }
     std::atomic<size_t> next{0};
     auto worker = [&] {
       for (;;) {
@@ -161,38 +73,16 @@ class SweepRunner {
         body(i);
       }
     };
+    const size_t workers = jobs_ < n ? jobs_ : n;
     std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
     for (size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
     worker();  // the calling thread is worker 0
     for (std::thread& t : pool) t.join();
-  }
-
-  // Fail-fast core for map(): the first exception is captured, cancels
-  // further scheduling, and is rethrown after the drain.
-  template <typename Body>
-  void run_indexed(size_t n, Body&& body) {
-    const size_t workers = jobs_ < n ? jobs_ : n;
-    if (workers <= 1) {
-      for (size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    std::atomic<bool> cancelled{false};
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    auto guarded = [&](size_t i) {
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        cancelled.store(true);
-      }
-    };
-    run_cancellable(n, cancelled, guarded);
     if (first_error) std::rethrow_exception(first_error);
+    return results;
   }
 
+ private:
   size_t jobs_;
 };
 

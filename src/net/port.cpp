@@ -18,6 +18,16 @@ uint64_t mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Credit shaper: rate as a fraction of link bytes, provisioned at the mean
+// randomized credit size so the admitted credit *count* is exactly one per
+// MTU-cycle (see packet.hpp), with a two-credit burst.
+constexpr double kCreditRateFraction =
+    static_cast<double>(kCreditMeanWireBytes) / kCreditCycleBytes;
+constexpr double kCreditBurstBytes = 2.0 * kCreditMeanWireBytes;
+// Per-hop flow-level backpressure thresholds (LinkConfig::hop_backpressure).
+constexpr uint64_t kFlowPauseBytes = 8 * kMaxWireBytes;
+constexpr uint64_t kFlowResumeBytes = 4 * kMaxWireBytes;
+
 DropTailQueue::Config data_queue_config(const LinkConfig& cfg) {
   DropTailQueue::Config q = cfg.data_queue;
   q.per_flow = cfg.hop_backpressure;  // flow-level pause needs flow queues
@@ -29,8 +39,6 @@ Port::Port(sim::Simulator& sim, Node& owner, LinkConfig cfg)
     : sim_(sim),
       owner_(owner),
       cfg_(cfg),
-      shape_credits_(owner.kind() == Node::Kind::kSwitch ||
-                     cfg.host_shapes_credits),
       shaper_noise_(owner.kind() == Node::Kind::kHost
                         ? cfg.host_credit_shaper_noise
                         : 0.0),
@@ -39,8 +47,8 @@ Port::Port(sim::Simulator& sim, Node& owner, LinkConfig cfg)
                          ? std::vector<double>{1.0}
                          : cfg.credit_class_weights),
       class_served_(class_weights_.size(), 0.0),
-      credit_shaper_(cfg.rate_bps / 8.0 * cfg.credit_rate_fraction,
-                     cfg.credit_burst_bytes) {
+      credit_shaper_(cfg.rate_bps / 8.0 * kCreditRateFraction,
+                     kCreditBurstBytes) {
   for (size_t i = 0; i < class_weights_.size(); ++i) {
     credit_qs_.emplace_back(cfg.credit_queue_pkts);
   }
@@ -130,13 +138,13 @@ void Port::check_flow_bp(FlowId flow) {
   BpEntry& e = bp_entries_[it->second];
   const uint64_t backlog = data_q_.flow_bytes(flow);
   Port* const up = e.upstream;
-  if (!e.paused && backlog > cfg_.flow_pause_bytes) {
+  if (!e.paused && backlog > kFlowPauseBytes) {
     e.paused = true;
     ++flow_pause_events_;
     // Pause frames are link-level control riding the reverse direction of
     // the ingress link, modeled as a propagation-delayed signal.
     sim_.after(up->config().prop_delay, [up, flow] { up->flow_pause(flow); });
-  } else if (e.paused && backlog < cfg_.flow_resume_bytes) {
+  } else if (e.paused && backlog < kFlowResumeBytes) {
     e.paused = false;
     sim_.after(up->config().prop_delay,
                [up, flow] { up->flow_resume(flow); });
@@ -218,8 +226,7 @@ void Port::try_transmit() {
   Packet pkt;
   const size_t cls = pick_credit_class();
   const double cost = cls == SIZE_MAX ? 0.0 : credit_cost(cls);
-  if (cls != SIZE_MAX &&
-      (!shape_credits_ || credit_shaper_.try_consume(cost, now))) {
+  if (cls != SIZE_MAX && credit_shaper_.try_consume(cost, now)) {
     pkt = credit_qs_[cls].dequeue(now);
     class_served_[cls] += pkt.wire_bytes;
     rebase_credit_accumulators();

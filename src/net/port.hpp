@@ -54,12 +54,6 @@ struct LinkConfig {
   sim::Time prop_delay = sim::Time::us(1);
   DropTailQueue::Config data_queue;
   size_t credit_queue_pkts = 8;
-  // Shaper rate as a fraction of link bytes; provisioned at the mean
-  // randomized credit size so the admitted credit *count* is exactly one
-  // per MTU-cycle (see packet.hpp).
-  double credit_rate_fraction =
-      static_cast<double>(kCreditMeanWireBytes) / kCreditCycleBytes;
-  double credit_burst_bytes = 2.0 * kCreditMeanWireBytes;
   // Hosts rate-limit credits too (§3.1: "the host and switch perform
   // credit rate-limiting at each switch port" — the host limiter protects
   // its own downlink, the incast port). But the host limiter is SoftNIC's
@@ -71,7 +65,6 @@ struct LinkConfig {
   // hardware) stays precise; its drain jitter comes from the randomized
   // credit sizes.
   double host_credit_shaper_noise = 0.6;
-  bool host_shapes_credits = true;
   // Multi-class credit scheduling (§7 "Multiple traffic classes"): one
   // credit queue per weight; the shaped credit bandwidth is divided among
   // backlogged classes in proportion to their weights, which translates
@@ -89,16 +82,14 @@ struct LinkConfig {
   uint64_t pfc_resume_bytes = 75'000;
   // Per-hop flow-level backpressure (BFC). The egress data queue runs in
   // per-flow mode (round-robin service over flows); when one flow's backlog
-  // at this egress exceeds flow_pause_bytes, the switch pauses that flow —
-  // and only that flow — at the upstream hop it arrived from, resuming once
-  // it drains below flow_resume_bytes. Contrast with pfc above, which
+  // at this egress exceeds 8 MTUs, the switch pauses that flow — and only
+  // that flow — at the upstream hop it arrived from, resuming once it
+  // drains below 4 MTUs. Contrast with pfc above, which
   // pauses every ingress link wholesale (the HOL-blocking this fixes).
   // Upstream state is bounded: the pause table tracks only flows currently
   // queued or paused here, in arrival order (flow-relabel invariant).
   // Inert for every existing protocol (plain FIFO, no signaling).
   bool hop_backpressure = false;
-  uint64_t flow_pause_bytes = 8 * kMaxWireBytes;
-  uint64_t flow_resume_bytes = 4 * kMaxWireBytes;
   // WFQ accumulator rebase threshold. The per-class served-byte
   // accumulators only ever grow; past ~2^53 bytes a double can no longer
   // represent +84-byte increments and low-weight classes starve. When the
@@ -243,7 +234,6 @@ class Port {
   sim::Simulator& sim_;
   Node& owner_;
   LinkConfig cfg_;
-  bool shape_credits_;
   double shaper_noise_;
   Port* peer_ = nullptr;
 

@@ -11,7 +11,7 @@ namespace xpass::runner {
 
 namespace {
 
-// Strict numeric parses: the whole token must be consumed and in range.
+// Strict integer parse: the whole token must be consumed and in range.
 std::optional<uint64_t> parse_u64(const std::string& s) {
   if (s.empty() || s[0] == '-') return std::nullopt;
   errno = 0;
@@ -20,6 +20,8 @@ std::optional<uint64_t> parse_u64(const std::string& s) {
   if (errno != 0 || end == s.c_str() || *end != '\0') return std::nullopt;
   return static_cast<uint64_t>(v);
 }
+
+}  // namespace
 
 std::optional<double> parse_f64(const std::string& s) {
   if (s.empty()) return std::nullopt;
@@ -32,8 +34,6 @@ std::optional<double> parse_f64(const std::string& s) {
   if (!std::isfinite(v)) return std::nullopt;
   return v;
 }
-
-}  // namespace
 
 Args::Args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -172,8 +172,6 @@ std::optional<std::string> Args::cache_dir() {
 }
 
 bool Args::resume() { return flag("resume"); }
-
-size_t Args::retries() { return static_cast<size_t>(u64("retries", 0)); }
 
 // Queried boolean switches written as `--switch value` captured a trailing
 // token speculatively; once all queries have run, give unconsumed ones back

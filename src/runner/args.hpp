@@ -27,6 +27,10 @@
 
 namespace xpass::runner {
 
+// Strict number parse, the rule every f64() flag uses: the whole token must
+// be a finite number ("nan", "inf", "" and trailing junk are nullopt).
+std::optional<double> parse_f64(const std::string& s);
+
 class Args {
  public:
   Args(int argc, char** argv);
@@ -54,8 +58,6 @@ class Args {
   std::optional<std::string> cache_dir();
   // `--resume`: serve cached results instead of re-running.
   bool resume();
-  // `--retries N`: extra attempts for tasks that throw; absent returns 0.
-  size_t retries();
 
   // True once any error (malformed value, or — after checked() — an
   // unqueried flag) has been recorded.

@@ -37,8 +37,10 @@ transport::Connection& FlowDriver::add_grouped(const transport::FlowSpec& spec,
     ++failed_;
     ++gs.failed;
   });
-  flow_group_.emplace_back(spec.id, group);
-  std::sort(flow_group_.begin(), flow_group_.end());
+  // Ids arrive in increasing order, so the sorted insert is an append.
+  const std::pair<uint32_t, size_t> entry(spec.id, group);
+  flow_group_.insert(
+      std::upper_bound(flow_group_.begin(), flow_group_.end(), entry), entry);
   transport::Connection* raw = conn.get();
   conns_.push_back(std::move(conn));
   sim_.at(spec.start_time, [raw] { raw->start(); });

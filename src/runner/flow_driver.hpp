@@ -93,10 +93,11 @@ class FlowDriver {
     r.gauge("flows.failed", [this] { return static_cast<double>(failed()); });
     if (per_flow_series) {
       for (const auto& c : conns_) {
-        const uint32_t id = c->spec().id;
-        r.series_gauge("flow." + std::to_string(id) + ".bytes", [this, id] {
-          return static_cast<double>(rates_.cumulative_bytes(id));
-        });
+        const transport::Connection* conn = c.get();
+        r.series_gauge("flow." + std::to_string(conn->spec().id) + ".bytes",
+                       [conn] {
+                         return static_cast<double>(conn->delivered_bytes());
+                       });
       }
     }
   }

@@ -1,6 +1,8 @@
 #include "runner/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -301,6 +303,43 @@ void validate_flow_groups(const ScenarioSpec& spec) {
   }
 }
 
+// Numbers no network can have. A non-positive or non-finite line rate
+// never drains a queue (the run crawls to its horizon or never returns),
+// and a probability outside [0, 1] silently means "always" or "never".
+void validate_numbers(const ScenarioSpec& spec) {
+  const auto reject = [](const std::string& member, double v,
+                         const char* rule) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    throw std::invalid_argument("ScenarioSpec." + member + " = " + buf +
+                                ": must be " + rule);
+  };
+  const TopologySpec& ts = spec.topology;
+  if (!(std::isfinite(ts.host_rate_bps) && ts.host_rate_bps > 0)) {
+    reject("topology.host_rate_bps", ts.host_rate_bps, "finite and > 0");
+  }
+  if (!(std::isfinite(ts.fabric_rate_bps) && ts.fabric_rate_bps >= 0)) {
+    reject("topology.fabric_rate_bps", ts.fabric_rate_bps,
+           "finite and >= 0 (0 = host rate)");
+  }
+  const net::LinkErrorConfig& e = spec.faults.errors;
+  const std::pair<const char*, double> probabilities[] = {
+      {"data_drop", e.data_drop},
+      {"credit_drop", e.credit_drop},
+      {"data_corrupt", e.data_corrupt},
+      {"credit_corrupt", e.credit_corrupt},
+      {"ge_good_to_bad", e.ge_good_to_bad},
+      {"ge_bad_to_good", e.ge_bad_to_good},
+      {"ge_drop_good", e.ge_drop_good},
+      {"ge_drop_bad", e.ge_drop_bad},
+  };
+  for (const auto& [name, p] : probabilities) {
+    if (!(p >= 0 && p <= 1)) {
+      reject(std::string("faults.errors.") + name, p, "in [0, 1]");
+    }
+  }
+}
+
 // Per-group flow-id salt stride: keeps group id spaces disjoint while
 // preserving the per-group flow-relabel invariant (shifting a group's salt
 // relabels only that group).
@@ -310,6 +349,7 @@ constexpr uint32_t kGroupSaltStride = 1u << 20;
 
 ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
                                    const RunOverrides& overrides) const {
+  validate_numbers(spec);
   sim::Simulator sim(spec.seed);
   // Merge the spec's budget with caller-side enforcement: the override's
   // wall-clock leash tightens (never loosens) whatever the spec declares.

@@ -15,7 +15,6 @@ class RateTracker {
   // Records `bytes` delivered for `flow` (call from receivers).
   void add(uint32_t flow, uint64_t bytes) {
     bytes_[flow] += bytes;
-    cumulative_[flow] += bytes;
     total_ += bytes;
   }
 
@@ -31,16 +30,9 @@ class RateTracker {
       sim::Time window);
 
   uint64_t total_bytes() const { return total_; }
-  // All-time delivered bytes for one flow (never reset by snapshots) — the
-  // telemetry series probes sample this.
-  uint64_t cumulative_bytes(uint32_t flow) const {
-    auto it = cumulative_.find(flow);
-    return it == cumulative_.end() ? 0 : it->second;
-  }
 
  private:
   std::unordered_map<uint32_t, uint64_t> bytes_;
-  std::unordered_map<uint32_t, uint64_t> cumulative_;
   uint64_t total_ = 0;
 };
 

@@ -3,7 +3,7 @@
 // protocols (SIRD's sender-informed grants, and anything else that paces
 // permission-to-send packets from the receiver) can share them.
 //
-// Three pieces:
+// Two pieces:
 //  * CreditScheduler — the receiver-side shaped-emission pump. Paces one
 //    credit/grant per data-MTU cycle at a caller-supplied target rate, with
 //    multiplicative jitter (the Fig-6a desynchronization fix). The network
@@ -16,9 +16,6 @@
 //    data), or wasted/expired (nothing to send). Conservation
 //    (granted == consumed + wasted + outstanding) holds by construction;
 //    the waste ratio is the Fig-20 metric.
-//  * FeedbackController — the generic rate-control interface the pump's
-//    rate source typically wraps; core::CreditFeedback (Algorithm 1) is
-//    the ExpressPass implementation.
 //
 // GrantAccounting is the transport-level reporting hook: the scenario
 // engine asks any transport that implements it for a per-protocol
@@ -32,15 +29,6 @@
 #include "sim/simulator.hpp"
 
 namespace xpass::transport {
-
-// One rate update per period from a measured loss/congestion signal.
-// update() returns the new target rate (data bps); rate() reads it back.
-class FeedbackController {
- public:
-  virtual ~FeedbackController() = default;
-  virtual double update(double loss) = 0;
-  virtual double rate() const = 0;
-};
 
 // Receiver-side credit/grant pacing pump. The caller supplies the current
 // target data rate and an emit callback that builds and sends one

@@ -1,6 +1,6 @@
 // Campaign runner tests. A fake RunSpecFn stands in for the engine so the
-// tests can model hangs, crashes, flaky failures and budget truncations
-// directly, and count exactly how many times each spec really executed.
+// tests can model hangs, crashes and budget truncations directly, and count
+// exactly how many times each spec really executed.
 #include "exec/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -73,7 +73,6 @@ TEST(Campaign, FreshRunPublishesThenResumeServesByteIdenticalHits) {
   EXPECT_EQ(executions.load(), 3u);  // nothing re-executed
   for (size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(second.tasks[i].cache_hit);
-    EXPECT_EQ(second.tasks[i].outcome.attempts, 0u);
     // The merge guarantee: a hit's payload IS the original run's bytes.
     EXPECT_EQ(second.tasks[i].payload, first.tasks[i].payload);
     EXPECT_EQ(second.tasks[i].key, first.tasks[i].key);
@@ -125,7 +124,6 @@ TEST(Campaign, ThrowingSpecIsQuarantinedWithReplayableRepro) {
 
   const CampaignTaskResult& bad = report.tasks[1];
   EXPECT_EQ(bad.outcome.status, TaskStatus::kFailed);
-  EXPECT_EQ(bad.outcome.attempts, 1u);  // retries=0: one attempt
   EXPECT_NE(bad.outcome.error.find("boom"), std::string::npos);
   ASSERT_FALSE(bad.quarantine_path.empty());
 
@@ -138,26 +136,6 @@ TEST(Campaign, ThrowingSpecIsQuarantinedWithReplayableRepro) {
   ASSERT_TRUE(repro.has_value()) << err;
   EXPECT_EQ(repro->spec.seed, specs[1].seed);
   EXPECT_EQ(repro->spec.name, specs[1].name);
-}
-
-TEST(Campaign, TransientFailureRetriesToSuccess) {
-  const auto specs = make_specs(1);
-  CampaignOptions opts;
-  opts.retries = 2;
-  opts.backoff_base_ms = 0;  // no sleeping in tests
-  std::atomic<size_t> attempts{0};
-  const RunSpecFn fn = [&](const runner::ScenarioSpec& s,
-                           const runner::RunOverrides&) {
-    if (attempts.fetch_add(1) == 0) throw std::runtime_error("transient");
-    return fake_result(s);
-  };
-
-  const CampaignReport report = run_campaign(specs, opts, fn);
-  EXPECT_TRUE(report.all_usable());
-  EXPECT_EQ(report.ran, 1u);
-  EXPECT_EQ(report.tasks[0].outcome.status, TaskStatus::kOk);
-  EXPECT_EQ(report.tasks[0].outcome.attempts, 2u);
-  EXPECT_EQ(attempts.load(), 2u);
 }
 
 TEST(Campaign, WallClockTruncationIsAResultButNeverCached) {
@@ -216,27 +194,6 @@ TEST(Campaign, DeterministicBudgetTruncationCachesLikeAnyResult) {
   EXPECT_EQ(second.tasks[0].payload, first.tasks[0].payload);
 }
 
-TEST(Campaign, FailFastStopsSchedulingAfterFirstHardFailure) {
-  const auto specs = make_specs(4);
-  CampaignOptions opts;
-  opts.jobs = 1;  // deterministic sequential order
-  opts.fail_fast = true;
-  const RunSpecFn fn = [](const runner::ScenarioSpec& s,
-                          const runner::RunOverrides&) -> runner::ScenarioResult {
-    if (s.seed == 100) throw std::runtime_error("hard failure");
-    return fake_result(s);
-  };
-
-  const CampaignReport report = run_campaign(specs, opts, fn);
-  EXPECT_EQ(report.tasks[0].outcome.status, TaskStatus::kFailed);
-  EXPECT_EQ(report.skipped, 3u);
-  for (size_t i = 1; i < specs.size(); ++i) {
-    EXPECT_EQ(report.tasks[i].outcome.status, TaskStatus::kSkipped);
-    EXPECT_TRUE(report.tasks[i].payload.empty());
-  }
-  EXPECT_FALSE(report.all_usable());
-}
-
 TEST(Campaign, DefaultRunToCompletionExecutesEverythingPastFailures) {
   const auto specs = make_specs(4);
   CampaignOptions opts;
@@ -250,7 +207,25 @@ TEST(Campaign, DefaultRunToCompletionExecutesEverythingPastFailures) {
   const CampaignReport report = run_campaign(specs, opts, fn);
   EXPECT_EQ(report.quarantined, 1u);
   EXPECT_EQ(report.ran, 3u);
-  EXPECT_EQ(report.skipped, 0u);
+}
+
+TEST(Campaign, NonStdExceptionIsQuarantinedToo) {
+  const auto specs = make_specs(3);
+  CampaignOptions opts;
+  opts.jobs = 2;
+  const RunSpecFn fn = [](const runner::ScenarioSpec& s,
+                          const runner::RunOverrides&) -> runner::ScenarioResult {
+    if (s.seed == 101) throw 42;
+    return fake_result(s);
+  };
+
+  const CampaignReport report = run_campaign(specs, opts, fn);
+  EXPECT_EQ(report.quarantined, 1u);
+  EXPECT_EQ(report.ran, 2u);
+  EXPECT_EQ(report.tasks[1].outcome.status, TaskStatus::kFailed);
+  EXPECT_EQ(report.tasks[1].outcome.error, "unknown exception");
+  EXPECT_TRUE(report.tasks[0].outcome.ok());
+  EXPECT_TRUE(report.tasks[2].outcome.ok());
 }
 
 TEST(Campaign, TimeoutForwardedAsWallClockOverride) {
@@ -300,6 +275,13 @@ TEST(Campaign, ManifestRecordsEveryDisposition) {
   EXPECT_NE(lines[1].find("\"status\": \"failed\""), std::string::npos);
   EXPECT_NE(lines[1].find("boom"), std::string::npos);
   EXPECT_NE(lines[2].find("\"status\": \"ok\""), std::string::npos);
+}
+
+TEST(TaskStatus, NamesAreStable) {
+  EXPECT_EQ(task_status_name(TaskStatus::kOk), "ok");
+  EXPECT_EQ(task_status_name(TaskStatus::kFailed), "failed");
+  EXPECT_EQ(task_status_name(TaskStatus::kTimedOut), "timed-out");
+  EXPECT_EQ(task_status_name(TaskStatus::kOverBudget), "over-budget");
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // output is byte-identical at --jobs 1, 4, and 8.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -70,6 +69,19 @@ TEST(SweepRunner, ExceptionPropagatesToCaller) {
                std::runtime_error);
 }
 
+TEST(SweepRunner, FirstExceptionStopsSchedulingTheTail) {
+  exec::SweepRunner pool(1);  // sequential: the unscheduled tail is exact
+  std::atomic<int> executed{0};
+  EXPECT_THROW(pool.map(6,
+                        [&](size_t i) {
+                          ++executed;
+                          if (i == 2) throw std::runtime_error("task 2");
+                          return i;
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(executed.load(), 3);  // tasks 0, 1 and 2 ran; 3..5 never did
+}
+
 // One sweep task: a short ExpressPass dumbbell run whose flow arrivals are
 // drawn from the task seed. Returns a fixed-format row of per-flow stats.
 std::string run_cell(uint64_t seed) {
@@ -106,144 +118,6 @@ std::string run_cell(uint64_t seed) {
   out += buf;
   driver.stop_all();
   return out;
-}
-
-TEST(RunTasks, CapturesOutcomePerTaskInsteadOfThrowing) {
-  exec::SweepRunner pool(4);
-  const auto outcomes = pool.run_tasks(8, [](size_t i) {
-    if (i == 2) throw std::runtime_error("task 2 exploded");
-    if (i == 5) throw 42;  // non-std exception
-  });
-  ASSERT_EQ(outcomes.size(), 8u);
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    if (i == 2 || i == 5) {
-      EXPECT_EQ(outcomes[i].status, exec::TaskStatus::kFailed);
-      EXPECT_EQ(outcomes[i].attempts, 1u);
-      EXPECT_FALSE(outcomes[i].error.empty());
-    } else {
-      EXPECT_TRUE(outcomes[i].ok());
-      EXPECT_EQ(outcomes[i].attempts, 1u);
-    }
-  }
-  EXPECT_NE(outcomes[2].error.find("task 2 exploded"), std::string::npos);
-}
-
-TEST(RunTasks, ReturnedStatusIsRespected) {
-  exec::SweepRunner pool(1);
-  const auto outcomes = pool.run_tasks(3, [](size_t i) {
-    return i == 1 ? exec::TaskStatus::kOverBudget : exec::TaskStatus::kOk;
-  });
-  EXPECT_EQ(outcomes[0].status, exec::TaskStatus::kOk);
-  EXPECT_EQ(outcomes[1].status, exec::TaskStatus::kOverBudget);
-  EXPECT_EQ(outcomes[2].status, exec::TaskStatus::kOk);
-}
-
-TEST(RunTasks, RetriesTransientFailuresWithAttemptCount) {
-  exec::SweepRunner pool(2);
-  std::atomic<int> task3_attempts{0};
-  exec::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.backoff_base_ms = 0;  // no sleeping in tests
-  const auto outcomes = pool.run_tasks(
-      6,
-      [&](size_t i) {
-        // Task 3 fails twice, then succeeds on the third attempt.
-        if (i == 3 && task3_attempts.fetch_add(1) < 2) {
-          throw std::runtime_error("transient");
-        }
-      },
-      policy);
-  EXPECT_TRUE(outcomes[3].ok());
-  EXPECT_EQ(outcomes[3].attempts, 3u);
-  EXPECT_EQ(task3_attempts.load(), 3);
-  for (size_t i = 0; i < 6; ++i) {
-    if (i != 3) {
-      EXPECT_EQ(outcomes[i].attempts, 1u);
-    }
-  }
-}
-
-TEST(RunTasks, DeterministicFailureExhaustsAllAttempts) {
-  exec::SweepRunner pool(1);
-  exec::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.backoff_base_ms = 0;
-  const auto outcomes =
-      pool.run_tasks(1, [](size_t) { throw std::runtime_error("always"); },
-                     policy);
-  EXPECT_EQ(outcomes[0].status, exec::TaskStatus::kFailed);
-  EXPECT_EQ(outcomes[0].attempts, 4u);
-}
-
-TEST(RunTasks, FailFastSkipsUnscheduledTail) {
-  exec::SweepRunner pool(1);  // sequential: the skip set is deterministic
-  std::atomic<int> executed{0};
-  const auto outcomes = pool.run_tasks(
-      5,
-      [&](size_t i) {
-        ++executed;
-        if (i == 1) throw std::runtime_error("stop the line");
-      },
-      exec::RetryPolicy{}, /*fail_fast=*/true);
-  EXPECT_EQ(executed.load(), 2);  // tasks 0 and 1 ran, then cancellation
-  EXPECT_TRUE(outcomes[0].ok());
-  EXPECT_EQ(outcomes[1].status, exec::TaskStatus::kFailed);
-  for (size_t i = 2; i < 5; ++i) {
-    EXPECT_EQ(outcomes[i].status, exec::TaskStatus::kSkipped);
-    EXPECT_EQ(outcomes[i].attempts, 0u);
-  }
-}
-
-TEST(RunTasks, DefaultModeRunsToCompletionPastFailures) {
-  exec::SweepRunner pool(4);
-  std::atomic<int> executed{0};
-  const auto outcomes = pool.run_tasks(12, [&](size_t i) {
-    ++executed;
-    if (i % 3 == 0) throw std::runtime_error("sporadic");
-  });
-  EXPECT_EQ(executed.load(), 12);  // nothing skipped
-  size_t failed = 0;
-  for (const auto& o : outcomes) {
-    failed += o.status == exec::TaskStatus::kFailed ? 1 : 0;
-  }
-  EXPECT_EQ(failed, 4u);
-}
-
-TEST(Backoff, DeterministicDoublingWithBoundedJitter) {
-  exec::RetryPolicy policy;
-  policy.backoff_base_ms = 25;
-  policy.backoff_cap_ms = 200;
-  policy.jitter_seed = 7;
-  // Attempt 0 (the first try) never sleeps.
-  EXPECT_EQ(exec::backoff_delay_ms(policy, 0, 0), 0.0);
-  double prev_nominal = 0;
-  for (size_t attempt = 1; attempt <= 6; ++attempt) {
-    const double d = exec::backoff_delay_ms(policy, 3, attempt);
-    // Deterministic: same (policy, task, attempt) -> same delay.
-    EXPECT_EQ(d, exec::backoff_delay_ms(policy, 3, attempt));
-    // Jitter keeps the delay within [0.5, 1.0] x the nominal exponential.
-    const double nominal =
-        std::min(25.0 * static_cast<double>(1ull << (attempt - 1)), 200.0);
-    EXPECT_GE(d, 0.5 * nominal) << "attempt " << attempt;
-    EXPECT_LE(d, nominal) << "attempt " << attempt;
-    EXPECT_GE(nominal, prev_nominal);  // monotone until the cap
-    prev_nominal = nominal;
-  }
-  // Different tasks decorrelate (thundering-herd protection).
-  EXPECT_NE(exec::backoff_delay_ms(policy, 1, 1),
-            exec::backoff_delay_ms(policy, 2, 1));
-  // Disabled backoff never sleeps.
-  policy.backoff_base_ms = 0;
-  EXPECT_EQ(exec::backoff_delay_ms(policy, 3, 4), 0.0);
-}
-
-TEST(TaskStatus, NamesAreStable) {
-  EXPECT_EQ(exec::task_status_name(exec::TaskStatus::kOk), "ok");
-  EXPECT_EQ(exec::task_status_name(exec::TaskStatus::kFailed), "failed");
-  EXPECT_EQ(exec::task_status_name(exec::TaskStatus::kTimedOut), "timed-out");
-  EXPECT_EQ(exec::task_status_name(exec::TaskStatus::kOverBudget),
-            "over-budget");
-  EXPECT_EQ(exec::task_status_name(exec::TaskStatus::kSkipped), "skipped");
 }
 
 TEST(SweepRunner, ByteIdenticalStatsAcrossJobCounts) {

@@ -58,7 +58,6 @@ TEST(Port, CreditsShapedToFivePercent) {
   cfg.rate_bps = 10e9;
   cfg.prop_delay = Time::us(1);
   cfg.credit_queue_pkts = 1000000;  // no credit drops: isolate the shaper
-  cfg.host_shapes_credits = true;   // exercise the switch-style shaper
   TwoHosts env(cfg);
   uint64_t credits = 0;
   env.b->register_flow(7, [&](Packet&& p) {

@@ -211,31 +211,6 @@ TEST(Args, ResumeIsABareFlag) {
   }
 }
 
-TEST(Args, RetriesSharesStrictU64Validation) {
-  {
-    Argv a({"--retries=3"});
-    Args args(a.argc(), a.argv());
-    EXPECT_EQ(args.retries(), 3u);
-    EXPECT_TRUE(args.ok()) << args.error();
-  }
-  {
-    Argv a({});
-    Args args(a.argc(), a.argv());
-    EXPECT_EQ(args.retries(), 0u);  // absent = fail on first exception
-    EXPECT_TRUE(args.ok());
-  }
-  for (auto tokens : {std::vector<std::string>{"--retries=-1"},
-                      std::vector<std::string>{"--retries=2x"},
-                      std::vector<std::string>{"--retries="},
-                      std::vector<std::string>{"--retries=99999999999999999999"}}) {
-    Argv a(tokens);
-    Args args(a.argc(), a.argv());
-    EXPECT_EQ(args.retries(), 0u) << tokens[0];
-    EXPECT_FALSE(args.ok()) << "accepted: " << tokens[0];
-    EXPECT_NE(args.error().find("--retries"), std::string::npos);
-  }
-}
-
 TEST(Args, UnqueriedFlagReportsUnknown) {
   Argv a({"--fulll"});  // typo of --full
   Args args(a.argc(), a.argv());

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "runner/scenario.hpp"
 
 namespace {
@@ -150,6 +157,48 @@ TEST(ScenarioEngine, FaultPlanFiresAndIsReported) {
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_TRUE(r.recorder.has("faults.fired"));
   EXPECT_TRUE(r.recorder.has("invariants.sweeps"));
+}
+
+TEST(ScenarioEngine, RejectsNumbersNoNetworkCanHave) {
+  // Each of these would hang the run, run it with no capacity, or turn a
+  // probability into "always"; the engine names the member instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Spec = runner::ScenarioSpec;
+  const std::vector<std::pair<std::string, std::function<void(Spec&)>>>
+      cases = {
+          {"topology.host_rate_bps",
+           [](Spec& s) { s.topology.host_rate_bps = -1e10; }},
+          {"topology.host_rate_bps",
+           [](Spec& s) { s.topology.host_rate_bps = 0; }},
+          {"topology.host_rate_bps",
+           [&](Spec& s) { s.topology.host_rate_bps = nan; }},
+          {"topology.host_rate_bps",
+           [&](Spec& s) { s.topology.host_rate_bps = inf; }},
+          {"topology.fabric_rate_bps",
+           [](Spec& s) { s.topology.fabric_rate_bps = -1; }},
+          {"topology.fabric_rate_bps",
+           [&](Spec& s) { s.topology.fabric_rate_bps = inf; }},
+          {"faults.errors.data_drop",
+           [](Spec& s) { s.faults.errors.data_drop = 1.5; }},
+          {"faults.errors.credit_corrupt",
+           [](Spec& s) { s.faults.errors.credit_corrupt = -0.1; }},
+          {"faults.errors.ge_drop_bad",
+           [&](Spec& s) { s.faults.errors.ge_drop_bad = nan; }},
+      };
+  for (const auto& [member, bend] : cases) {
+    auto s = small_dumbbell(Protocol::kExpressPass);
+    s.stop = runner::StopSpec::run_for(Time::ms(1));
+    bend(s);
+    try {
+      runner::ScenarioEngine().run(s);
+      ADD_FAILURE() << member << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ScenarioSpec." + member),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioEngine, RunGridIsOrderedAndJobsIndependent) {

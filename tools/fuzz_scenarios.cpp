@@ -9,13 +9,15 @@
 //   fuzz_scenarios --inject no-jitter --count 20        # must find the bug
 //   fuzz_scenarios --repro tests/repros/credit_queue_bound.json
 //
-// Exit codes: 0 all oracles passed, 2 usage error, 3 an oracle failed.
+// Exit codes: 0 all oracles passed, 2 usage error (a bad flag, or a repro
+// whose spec the engine rejects), 3 an oracle failed.
 // Repro regression tests assert either direction: healthy-tree repros of
 // injected bugs expect 0 (the bug is absent), while --expect-fail pins that
 // re-applying the embedded injection still trips the embedded oracle.
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "check/fuzzer.hpp"
@@ -39,8 +41,6 @@ constexpr const char* kUsage =
     "  --no-shrink         keep failing specs unshrunk\n"
     "  --no-metamorphic    skip metamorphic oracles (faster)\n"
     "  --no-differential   skip differential oracles\n"
-    "  --journal FILE      append one verdict line per finished scenario\n"
-    "  --resume            with --journal: skip journaled-clean scenarios\n"
     "  --repro FILE        replay one repro/spec JSON instead of fuzzing\n"
     "  --expect-fail       with --repro: exit 0 iff the oracle still fails\n"
     "  --list-oracles      print oracle names and exit\n"
@@ -83,18 +83,25 @@ int run_repro(const std::string& path, bool expect_fail, bool verbose) {
 
   const xpass::check::OracleSuite suite{{}};
   std::vector<xpass::check::OracleFinding> findings;
-  if (!repro->oracle.empty()) {
-    // Pinned oracle: judge exactly the property the repro captured.
-    auto one = suite.evaluate_one(repro->oracle, repro->spec, run);
-    if (!one) {
-      std::fprintf(stderr,
-                   "fuzz_scenarios: oracle %s does not apply to this spec\n",
-                   repro->oracle.c_str());
-      return 2;
+  // The engine rejects specs no network can run (e.g. a protocol that
+  // cannot join a mixed fabric) by throwing: a usage error, not a crash.
+  try {
+    if (!repro->oracle.empty()) {
+      // Pinned oracle: judge exactly the property the repro captured.
+      auto one = suite.evaluate_one(repro->oracle, repro->spec, run);
+      if (!one) {
+        std::fprintf(stderr,
+                     "fuzz_scenarios: oracle %s does not apply to this spec\n",
+                     repro->oracle.c_str());
+        return 2;
+      }
+      findings.push_back(*one);
+    } else {
+      findings = suite.evaluate(repro->spec, run);
     }
-    findings.push_back(*one);
-  } else {
-    findings = suite.evaluate(repro->spec, run);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fuzz_scenarios: %s: %s\n", path.c_str(), e.what());
+    return 2;
   }
 
   bool any_fail = false;
@@ -131,17 +138,10 @@ int main(int argc, char** argv) {
   opts.oracles.metamorphic = !args.flag("no-metamorphic");
   opts.oracles.differential = !args.flag("no-differential");
   opts.verbose = args.flag("verbose");
-  opts.journal = args.str("journal").value_or("");
-  opts.resume = args.resume();
   const auto protocol = args.str("protocol");
   const auto repro_path = args.str("repro");
   const bool expect_fail = args.flag("expect-fail");
   args.die_on_error(kUsage);
-  if (opts.resume && opts.journal.empty()) {
-    std::fprintf(stderr, "fuzz_scenarios: --resume requires --journal\n%s",
-                 kUsage);
-    return 2;
-  }
 
   if (list_oracles) {
     for (const auto& name : xpass::check::OracleSuite::oracle_names()) {
@@ -184,9 +184,7 @@ int main(int argc, char** argv) {
 
   const auto report = xpass::check::run_fuzz(opts, stderr);
   std::fprintf(stderr,
-               "fuzz: %zu scenarios, %zu engine runs, %zu resumed, "
-               "%zu failure(s)\n",
-               report.scenarios, report.engine_runs, report.resumed,
-               report.failures.size());
+               "fuzz: %zu scenarios, %zu engine runs, %zu failure(s)\n",
+               report.scenarios, report.engine_runs, report.failures.size());
   return report.clean() ? 0 : 3;
 }

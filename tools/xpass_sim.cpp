@@ -1,11 +1,11 @@
 // xpass_sim — command-line driver for the simulator.
 //
 // Examples:
-//   xpass_sim --topology=dumbbell --pairs=8 --protocol=expresspass \
+//   xpass_sim --topology=dumbbell --pairs=8 --protocol=expresspass
 //             --flows=8 --bytes=long --duration-ms=50
-//   xpass_sim --topology=clos --protocol=dctcp --workload=websearch \
+//   xpass_sim --topology=clos --protocol=dctcp --workload=websearch
 //             --load=0.6 --flows=2000
-//   xpass_sim --topology=fattree --k=8 --protocol=expresspass \
+//   xpass_sim --topology=fattree --k=8 --protocol=expresspass
 //             --incast=128 --bytes=100000 --json=out.json
 //
 // Prints goodput, fairness, FCT percentiles, queue statistics, and drop
@@ -77,11 +77,10 @@ struct Options {
   // the plain path stays byte-identical when none are): --cache-dir=DIR
   // persists results to a resumable content-addressed store, --resume
   // serves verified entries instead of re-running, --timeout-ms=T leashes
-  // each run's wall clock, --retries=N retries throwing runs with backoff.
+  // each run's wall clock.
   std::string cache_dir;
   bool resume = false;
   double timeout_ms = 0;
-  size_t retries = 0;
 };
 
 constexpr const char* kUsage =
@@ -96,7 +95,7 @@ constexpr const char* kUsage =
     "  [--cross=PROTO] [--cross-flows=N] [--cross-onoff]\n"
     "  [--onoff-period-ms=F] [--onoff-duty=F] [--link-jitter-us=F]\n"
     "  campaign (crash-safe batches; see EXPERIMENTS.md):\n"
-    "  [--cache-dir=DIR] [--resume] [--timeout-ms=T] [--retries=N]\n"
+    "  [--cache-dir=DIR] [--resume] [--timeout-ms=T]\n"
     "  faults (target: first fabric link):\n"
     "  [--flap-ms=DOWN,UP] [--kill-ms=T] [--data-drop=P] [--credit-drop=P]\n"
     "  [--data-corrupt=P] [--credit-corrupt=P] [--fault-seed=N]\n"
@@ -143,11 +142,15 @@ Options parse(int argc, char** argv) {
   o.onoff_duty = args.f64("onoff-duty", o.onoff_duty);
   o.link_jitter_us = args.f64("link-jitter-us", o.link_jitter_us);
   if (auto v = args.str("flap-ms")) {
-    char* rest = nullptr;
-    o.flap_down_ms = std::strtod(v->c_str(), &rest);
-    if (rest == nullptr || *rest != ',') usage("--flap-ms wants DOWN,UP");
-    o.flap_up_ms = std::strtod(rest + 1, nullptr);
-    if (o.flap_up_ms <= o.flap_down_ms) usage("--flap-ms: UP must be > DOWN");
+    const size_t comma = v->find(',');
+    const auto down = runner::parse_f64(v->substr(0, comma));
+    const auto up = comma == std::string::npos
+                        ? std::nullopt
+                        : runner::parse_f64(v->substr(comma + 1));
+    if (!down || !up) usage("--flap-ms wants DOWN,UP");
+    if (*down < 0 || *up <= *down) usage("--flap-ms wants 0 <= DOWN < UP");
+    o.flap_down_ms = *down;
+    o.flap_up_ms = *up;
   }
   o.kill_ms = args.f64("kill-ms", 0.0);
   o.errors.data_drop = args.f64("data-drop", 0.0);
@@ -160,7 +163,6 @@ Options parse(int argc, char** argv) {
   if (auto v = args.cache_dir()) o.cache_dir = *v;
   o.resume = args.resume();
   o.timeout_ms = args.timeout_ms();
-  o.retries = args.retries();
   const bool help = args.flag("help");
   args.die_on_error(kUsage);
   for (const std::string& p : args.positional()) {
@@ -362,17 +364,15 @@ void write_json(const std::string& path, const runner::ScenarioResult& r) {
 }
 
 // The crash-safe path: every run goes through exec::run_campaign, which
-// persists/serves results via the content-addressed store, retries and
-// quarantines throwing runs, and leashes hangs with the wall-clock budget.
+// persists/serves results via the content-addressed store, quarantines
+// throwing runs, and leashes hangs with the wall-clock budget.
 int run_campaign_mode(const Options& o,
                       const std::vector<runner::ScenarioSpec>& grid) {
   exec::CampaignOptions copts;
   copts.cache_dir = o.cache_dir;
   copts.resume = o.resume;
-  copts.retries = o.retries;
   copts.timeout_ms = o.timeout_ms;
   copts.jobs = o.jobs;
-  copts.seed = o.seed;
   const exec::CampaignReport report = exec::run_campaign(grid, copts);
 
   for (size_t i = 0; i < report.tasks.size(); ++i) {
@@ -390,9 +390,7 @@ int run_campaign_mode(const Options& o,
         std::printf("  aborted         : %s\n", t.result->abort_reason.c_str());
       }
     } else {
-      std::printf("task %s after %u attempt(s): %s\n",
-                  std::string(exec::task_status_name(t.outcome.status)).c_str(),
-                  t.outcome.attempts, t.outcome.error.c_str());
+      std::printf("task failed: %s\n", t.outcome.error.c_str());
       if (!t.quarantine_path.empty()) {
         std::printf("  repro: %s\n", t.quarantine_path.c_str());
       }
@@ -406,10 +404,9 @@ int run_campaign_mode(const Options& o,
     }
   }
   std::printf("campaign: %zu tasks, cache hits: %zu, ran: %zu, "
-              "quarantined: %zu, timed out: %zu, over budget: %zu, "
-              "skipped: %zu\n",
+              "quarantined: %zu, timed out: %zu, over budget: %zu\n",
               report.tasks.size(), report.hits, report.ran, report.quarantined,
-              report.timed_out, report.over_budget, report.skipped);
+              report.timed_out, report.over_budget);
   return report.all_usable() ? 0 : 1;
 }
 
@@ -432,8 +429,7 @@ int run_cli(const Options& o) {
   }
 
   if (o.resume && o.cache_dir.empty()) usage("--resume requires --cache-dir");
-  const bool campaign_mode =
-      !o.cache_dir.empty() || o.timeout_ms > 0 || o.retries > 0;
+  const bool campaign_mode = !o.cache_dir.empty() || o.timeout_ms > 0;
   if (campaign_mode) {
     // Same seed schedule as the plain path: a single run uses --seed
     // itself, replications use task_seed(seed, i) — so cached entries match
