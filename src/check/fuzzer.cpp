@@ -16,6 +16,9 @@ struct Injection {
   std::string_view name;
   std::string_view description;
   void (*apply)(ScenarioSpec&);
+  // The generator domain where the catching oracle applies; a campaign
+  // under this injection samples only there. Null: the default mix.
+  void (*domain)(GenOptions&);
 };
 
 core::ExpressPassConfig xp_config(const ScenarioSpec& s) {
@@ -37,15 +40,24 @@ const Injection kInjections[] = {
        // The host NIC shaper noise breaks synchronization the same way
        // (Fig 6b); a real no-jitter bug loses both.
        s.topology.host_credit_shaper_noise = 0.0;
-     }},
+     },
+     nullptr},
     {"naive-feedback",
      "run the naive max-rate credit scheme while claiming the Algorithm-1 "
      "feedback loop (§2's strawman) — multi-hop shares collapse; caught by "
-     "the maxmin-diff differential oracle on chain topologies",
+     "the maxmin-diff differential oracle on fault-free multi-bottleneck "
+     "chains",
      [](ScenarioSpec& s) {
        auto xp = xp_config(s);
        xp.naive = true;
        s.xp = xp;
+     },
+     // Only the multi-bottleneck band of maxmin-diff tells naive crediting
+     // from Algorithm 1, and only on a fault-free ExpressPass run.
+     [](GenOptions& g) {
+       g.protocol = runner::Protocol::kExpressPass;
+       g.topology = runner::TopologyKind::kMultiBottleneck;
+       g.faults = false;
      }},
     {"starved-reservation",
      "cap the credit schedule's max rate to ~1% of the host line rate — the "
@@ -57,7 +69,8 @@ const Injection kInjections[] = {
        auto xp = xp_config(s);
        xp.max_rate_bps = 0.01 * s.topology.host_rate_bps;
        s.xp = xp;
-     }},
+     },
+     [](GenOptions& g) { g.mixed = true; }},
     {"silent-data-loss",
      "a marginal link drops ~1 in 500 data frames while the declared model "
      "says the fabric is healthy — violates the paper's zero-data-loss "
@@ -68,7 +81,8 @@ const Injection kInjections[] = {
          // Deterministic but decorrelated from the traffic stream.
          s.fault_seed = s.seed ^ 0x517cc1b727220a95ull;
        }
-     }},
+     },
+     nullptr},
 };
 
 void log_line(std::FILE* log, const char* fmt, ...)
@@ -96,6 +110,13 @@ std::string write_repro(const FuzzFailure& f, const FuzzOptions& opts) {
   return path;
 }
 
+const Injection* find_injection(std::string_view name) {
+  for (const Injection& i : kInjections) {
+    if (i.name == name) return &i;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<InjectionInfo> injections() {
@@ -108,13 +129,10 @@ std::vector<InjectionInfo> injections() {
 
 bool apply_injection(std::string_view name, ScenarioSpec& spec) {
   if (name.empty()) return true;
-  for (const Injection& i : kInjections) {
-    if (i.name == name) {
-      i.apply(spec);
-      return true;
-    }
-  }
-  return false;
+  const Injection* i = find_injection(name);
+  if (i == nullptr) return false;
+  i->apply(spec);
+  return true;
 }
 
 FuzzReport run_fuzz(const FuzzOptions& opts, std::FILE* log) {
@@ -129,9 +147,15 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::FILE* log) {
     return engine.run(executed);
   };
 
+  GenOptions gen = opts.gen;
+  if (const Injection* inj = find_injection(opts.inject);
+      inj != nullptr && inj->domain != nullptr) {
+    inj->domain(gen);
+  }
+
   for (size_t i = 0; i < opts.count; ++i) {
     sim::Rng rng(exec::task_seed(opts.seed, i));
-    const ScenarioSpec spec = generate_spec(rng, i, opts.gen);
+    const ScenarioSpec spec = generate_spec(rng, i, gen);
     const auto findings = suite.evaluate(spec, run);
     ++report.scenarios;
 

@@ -14,7 +14,10 @@
 // bugs (a disabled mechanism, a mis-wired constant). A healthy tree passes
 // with no injection; each registered injection is caught by at least one
 // oracle (pinned by tests/check/fuzzer_test.cpp and the tests/repros/
-// regression cases).
+// regression cases). Each injection also names the generator domain where
+// that oracle applies, and a campaign under it samples only there: a bug
+// only a fault-free multi-bottleneck chain can show is not left to the few
+// such specs the default mix draws.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +51,8 @@ struct FuzzOptions {
   OracleOptions oracles;
   ShrinkOptions shrink_opts;
   bool shrink = true;
-  std::string inject;   // hidden mutation on every executed spec
+  std::string inject;   // hidden mutation on every executed spec; narrows
+                        // `gen` to the injection's domain
   std::string out_dir;  // repro JSON target directory ("" = don't write)
   bool verbose = false;
 };

@@ -86,6 +86,7 @@ ScenarioSpec generate_spec(sim::Rng& rng, uint64_t name_index,
     } else {
       s.topology.kind = TopologyKind::kClos;
     }
+    if (opts.topology) s.topology.kind = *opts.topology;
     switch (s.topology.kind) {
       case TopologyKind::kDumbbell:
         s.topology.scale = static_cast<size_t>(rng.uniform_int(2, 8));

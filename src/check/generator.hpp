@@ -25,6 +25,9 @@ struct GenOptions {
   // comparators mostly exercise engine-level oracles (determinism,
   // relabeling).
   std::optional<runner::Protocol> protocol;
+  // Restrict to one topology kind. Unset: weighted sampling (forced-mixed
+  // runs pin the dumbbell).
+  std::optional<runner::TopologyKind> topology;
   // Force mixed-protocol coexistence specs (the fuzz CLI's --mixed): every
   // spec is an ExpressPass dumbbell sharing its bottleneck with 1-2
   // reactive cross-traffic flow groups, which arms the coexistence oracle.

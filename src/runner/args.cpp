@@ -63,10 +63,21 @@ Args::Args(int argc, char** argv) {
 }
 
 Args::Entry* Args::find(std::string_view name) {
+  Entry* first = nullptr;
+  bool repeated = false;
   for (Entry& e : entries_) {
-    if (e.name == name) return &e;
+    if (e.name != name) continue;
+    if (first == nullptr) {
+      first = &e;
+      continue;
+    }
+    // A repeat is an error of its own, reported once, not an unknown flag.
+    repeated = repeated || !e.consumed;
+    e.consumed = true;
+    e.value_consumed = true;
   }
-  return nullptr;
+  if (repeated) fail(name, "given more than once");
+  return first;
 }
 
 void Args::fail(std::string_view name, std::string_view why) {

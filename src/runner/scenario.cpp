@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/credit_telemetry.hpp"
@@ -219,8 +220,7 @@ void add_traffic(const ScenarioSpec& spec, const TrafficSpec& tr,
       // cycle, phase-shifted by a per-source U(0, period) draw (one draw
       // per source, in source order). The cycle schedule covers the stop
       // horizon; bursts that would start past it are not scheduled.
-      const double period = tr.on_period_sec > 0 ? tr.on_period_sec : 0.01;
-      const double duty = std::clamp(tr.on_duty, 0.01, 1.0);
+      const double period = tr.on_period_sec;
       const sim::Time horizon = spec.stop.kind == StopKind::kWindow
                                     ? spec.stop.warmup + spec.stop.window
                                     : spec.stop.horizon;
@@ -232,7 +232,7 @@ void add_traffic(const ScenarioSpec& spec, const TrafficSpec& tr,
               ? tr.bytes
               : std::max<uint64_t>(
                     net::kMssBytes,
-                    static_cast<uint64_t>(duty * period *
+                    static_cast<uint64_t>(tr.on_duty * period *
                                           spec.topology.host_rate_bps / 8.0));
       uint32_t id = tr.flow_id_salt + 1;
       for (size_t i = 0; i < tr.flows; ++i) {
@@ -304,24 +304,74 @@ void validate_flow_groups(const ScenarioSpec& spec) {
 }
 
 // Numbers no network can have. A non-positive or non-finite line rate
-// never drains a queue (the run crawls to its horizon or never returns),
-// and a probability outside [0, 1] silently means "always" or "never".
+// never drains a queue (the run crawls to its horizon or never returns), a
+// probability outside [0, 1] silently means "always" or "never", and a
+// negative time or load would run as if it were something else (a run of
+// 0 ps, a fault that never fires, a negative arrival rate).
+// The member is named `where` + `member`; the name is only built to throw.
+[[noreturn]] void reject(std::string_view where, const char* member,
+                         const std::string& value, const char* rule) {
+  throw std::invalid_argument("ScenarioSpec." + std::string(where) + member +
+                              " = " + value + ": must be " + rule);
+}
+
+void check_number(std::string_view where, const char* member, double v,
+                  bool ok, const char* rule) {
+  if (ok) return;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  reject(where, member, buf, rule);
+}
+
+void check_not_negative(std::string_view where, const char* member,
+                        sim::Time t) {
+  if (t < sim::Time::zero()) reject(where, member, t.str(), ">= 0");
+}
+
+void validate_traffic(std::string_view where, const TrafficSpec& tr) {
+  const double spread = tr.start_spread_sec;
+  check_number(where, "start_spread_sec", spread,
+               std::isfinite(spread) && spread >= 0, "finite and >= 0");
+  check_not_negative(where, "start_offset", tr.start_offset);
+  check_not_negative(where, "start_step", tr.start_step);
+  if (tr.kind == TrafficKind::kPoisson) {
+    check_number(where, "load", tr.load,
+                 std::isfinite(tr.load) && tr.load > 0, "finite and > 0");
+    if (tr.capacity_bps) {
+      const double c = *tr.capacity_bps;
+      check_number(where, "capacity_bps", c, std::isfinite(c) && c > 0,
+                   "finite and > 0");
+    }
+  }
+  if (tr.kind == TrafficKind::kOnOff) {
+    const double period = tr.on_period_sec;
+    check_number(where, "on_period_sec", period,
+                 std::isfinite(period) && period > 0, "finite and > 0");
+    check_number(where, "on_duty", tr.on_duty,
+                 tr.on_duty >= 0.01 && tr.on_duty <= 1, "in [0.01, 1]");
+  }
+}
+
 void validate_numbers(const ScenarioSpec& spec) {
-  const auto reject = [](const std::string& member, double v,
-                         const char* rule) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    throw std::invalid_argument("ScenarioSpec." + member + " = " + buf +
-                                ": must be " + rule);
-  };
   const TopologySpec& ts = spec.topology;
-  if (!(std::isfinite(ts.host_rate_bps) && ts.host_rate_bps > 0)) {
-    reject("topology.host_rate_bps", ts.host_rate_bps, "finite and > 0");
+  check_number("topology.", "host_rate_bps", ts.host_rate_bps,
+               std::isfinite(ts.host_rate_bps) && ts.host_rate_bps > 0,
+               "finite and > 0");
+  check_number("topology.", "fabric_rate_bps", ts.fabric_rate_bps,
+               std::isfinite(ts.fabric_rate_bps) && ts.fabric_rate_bps >= 0,
+               "finite and >= 0 (0 = host rate)");
+  check_not_negative("topology.", "link_jitter", ts.link_jitter);
+  validate_traffic("traffic.", spec.traffic);
+  for (size_t g = 0; g < spec.flow_groups.size(); ++g) {
+    validate_traffic("flow_groups[" + std::to_string(g) + "].traffic.",
+                     spec.flow_groups[g].traffic);
   }
-  if (!(std::isfinite(ts.fabric_rate_bps) && ts.fabric_rate_bps >= 0)) {
-    reject("topology.fabric_rate_bps", ts.fabric_rate_bps,
-           "finite and >= 0 (0 = host rate)");
-  }
+  check_not_negative("stop.", "horizon", spec.stop.horizon);
+  check_not_negative("stop.", "warmup", spec.stop.warmup);
+  check_not_negative("stop.", "window", spec.stop.window);
+  check_not_negative("faults.", "flap_down", spec.faults.flap_down);
+  check_not_negative("faults.", "flap_up", spec.faults.flap_up);
+  check_not_negative("faults.", "kill_at", spec.faults.kill_at);
   const net::LinkErrorConfig& e = spec.faults.errors;
   const std::pair<const char*, double> probabilities[] = {
       {"data_drop", e.data_drop},
@@ -334,9 +384,7 @@ void validate_numbers(const ScenarioSpec& spec) {
       {"ge_drop_bad", e.ge_drop_bad},
   };
   for (const auto& [name, p] : probabilities) {
-    if (!(p >= 0 && p <= 1)) {
-      reject(std::string("faults.errors.") + name, p, "in [0, 1]");
-    }
+    check_number("faults.errors.", name, p, p >= 0 && p <= 1, "in [0, 1]");
   }
 }
 
@@ -373,11 +421,10 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
 
   auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
                                   spec.xp ? &*spec.xp : nullptr);
-  FlowDriver driver(sim, *transport);
-  // Group transports must outlive the driver's connections; declared after
-  // `transport` so they tear down first (connections are stopped explicitly
-  // at the end of run, before anything is destroyed).
+  // Connections hold their transport's config by reference, so every
+  // transport is declared before the driver that owns the connections.
   std::vector<std::unique_ptr<transport::Transport>> group_transports;
+  FlowDriver driver(sim, *transport);
   if (spec.flow_groups.empty()) {
     add_traffic(spec, b, sim, driver, fabric_rate);
   } else {

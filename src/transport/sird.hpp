@@ -15,26 +15,28 @@
 //    grants already in flight when the tail arrives, plus a bounded
 //    solicitation window per flow.
 //
-// Reuses the extracted framework: CreditScheduler paces the allocator's
-// grant emissions (grants are kCredit-class on the wire, so the per-port
-// credit shapers and WFQ classes apply unchanged), and GrantLedger tracks
-// consume/waste on the sender side, surfaced through GrantAccounting.
+// Built on the receiver-driven framework: SirdConnection is a
+// CreditedConnection, so its sender (demand advertised in the SYN, one MSS
+// per grant, request watchdog, CREDIT_STOP) and its in-order receiver are
+// ExpressPass's own; only the receiver policy below is SIRD's. A
+// CreditScheduler paces each allocator's grant emissions (grants are
+// kCredit-class on the wire, so the per-port credit shapers and WFQ classes
+// apply unchanged), and the senders' credit use is tallied transport-wide
+// for GrantAccounting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <string>
 #include <unordered_map>
 
-#include "net/ring_buffer.hpp"
 #include "transport/connection.hpp"
 #include "transport/credit_sched.hpp"
 
 namespace xpass::transport {
 
-struct SirdConfig {
+struct SirdConfig : CreditedConfig {
   // Grant pacing jitter, same role as ExpressPass's credit jitter (Fig 6a).
   double jitter = 0.1;
   // Receiver-side solicitation window: grant-bytes in flight (granted but
@@ -48,15 +50,6 @@ struct SirdConfig {
   // verdict. The runner sets this to the fabric base RTT.
   sim::Time probe_period = sim::Time::us(100);
   uint32_t receiver_dead_periods = 600;
-  // Sender request watchdog, identical in role (and defaults) to
-  // ExpressPass's: re-advertise demand with backoff while no grants arrive,
-  // abort after max_dead_retries consecutive silent periods.
-  sim::Time request_timeout = sim::Time::us(400);
-  double request_backoff = 2.0;
-  sim::Time request_timeout_cap = sim::Time::ms(25);
-  double request_jitter = 0.2;
-  uint32_t max_dead_retries = 12;
-  sim::Time stop_retx_interval = sim::Time::us(400);
 };
 
 // Transport-wide grant accounting (all receivers + senders of one run).
@@ -88,20 +81,18 @@ class SirdAllocator {
   bool emit_grant();
 
   net::Host& host_;
-  const SirdConfig& cfg_;
   SirdStats& stats_;
   CreditScheduler sched_;
   std::deque<SirdConnection*> rotation_;
 };
 
-class SirdConnection : public Connection {
+class SirdConnection : public CreditedConnection {
  public:
   SirdConnection(sim::Simulator& sim, const FlowSpec& spec,
                  const SirdConfig& cfg, SirdStats& stats,
                  SirdAllocator& alloc);
   ~SirdConnection() override;
 
-  void start() override;
   void stop() override;
 
   // Receiver-side: does this flow want a grant right now? (Unmet advertised
@@ -110,52 +101,31 @@ class SirdConnection : public Connection {
   // Emit one MSS-worth grant (allocator only).
   void send_grant();
 
-  const GrantLedger& ledger() const { return ledger_; }
-
  private:
   friend class SirdAllocator;
 
-  void sender_on_packet(net::Packet&& p);
-  void receiver_on_packet(net::Packet&& p);
-  void send_request();
-  void send_grant_stop();
-  void arm_watchdog();
-  void on_watchdog();
+  net::Host::Handler sender_handler() override;
+  void receiver_on_packet(net::Packet&& p) override;
+  void halt_receiver() override { sim_.cancel(probe_timer_); }
+  // Once the tail is sent the receiver's probe owns recovery: the sender
+  // needs no watchdog to re-advertise demand.
+  bool sender_finished() const override { return tail_sent(); }
   void arm_probe();
   void on_probe();
-  void abort_flow(const std::string& why);
   uint64_t outstanding_grant_bytes() const {
     return granted_bytes_ - std::min(granted_bytes_, received_bytes_);
   }
 
   const SirdConfig& cfg_;
   SirdStats& stats_;
-  SirdAllocator* alloc_;
-  bool started_ = false;
-
-  // Sender half.
-  uint64_t snd_nxt_ = 0;
-  GrantLedger ledger_;
-  sim::Time last_data_sent_;
-  sim::Time host_release_;
-  net::RingBuffer<sim::TimerId> release_timers_;
-  sim::TimerId request_timer_;
-  sim::Time cur_request_timeout_;
-  uint32_t dead_retries_ = 0;
-  uint64_t grants_at_last_watchdog_ = 0;
-  bool stop_sent_ = false;
-  sim::Time last_stop_time_;
+  SirdAllocator& alloc_;
 
   // Receiver half.
   uint64_t advertised_end_ = 0;   // sender-informed demand (bytes)
   uint64_t granted_bytes_ = 0;    // grant budget issued so far
   uint64_t received_bytes_ = 0;   // payload bytes arrived (any order)
-  uint64_t rcv_next_ = 0;         // in-order delivery edge
-  std::map<uint64_t, uint32_t> rcv_ooo_;
-  uint64_t fin_end_ = 0;
   uint64_t grant_seq_ = 0;
   bool in_rotation_ = false;
-  bool done_ = false;
   bool probe_armed_ = false;
   sim::TimerId probe_timer_;
   uint64_t progress_at_probe_ = 0;
@@ -183,10 +153,10 @@ class SirdTransport : public Transport, public GrantAccounting {
   SirdConfig cfg_;
   SirdStats stats_;
   // One allocator per destination host, created on first flow toward it.
-  // NOTE: connections hold a pointer to their allocator and deregister in
-  // stop(); the transport must outlive its connections (FlowDriver holds
-  // the transport by reference, so the owner's declaration order already
-  // guarantees this).
+  // NOTE: connections hold their allocator and config by reference and
+  // leave the rotation in stop(); the transport must outlive its
+  // connections (FlowDriver holds the transport by reference, so the
+  // owner's declaration order already guarantees this).
   std::unordered_map<net::NodeId, std::unique_ptr<SirdAllocator>> allocators_;
 };
 

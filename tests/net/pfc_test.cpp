@@ -13,17 +13,6 @@ using namespace xpass;
 using namespace xpass::net;
 using sim::Time;
 
-LinkConfig pfc_link() {
-  LinkConfig cfg;
-  cfg.rate_bps = 10e9;
-  cfg.prop_delay = sim::Time::us(1);
-  cfg.pfc = true;
-  cfg.pfc_pause_bytes = 20 * kMaxWireBytes;
-  cfg.pfc_resume_bytes = 10 * kMaxWireBytes;
-  cfg.data_queue.capacity_bytes = 40 * kMaxWireBytes;
-  return cfg;
-}
-
 TEST(Pfc, PauseStopsDataButNotCredits) {
   sim::Simulator sim(1);
   Topology topo(sim);

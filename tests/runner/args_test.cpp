@@ -218,6 +218,17 @@ TEST(Args, UnqueriedFlagReportsUnknown) {
   EXPECT_NE(args.error().find("unknown flag: --fulll"), std::string::npos);
 }
 
+TEST(Args, RepeatedFlagIsReportedOnceByName) {
+  // The repeat names a flag the tool knows: it is reported once, as
+  // repeated, never as an unknown flag.
+  Argv a({"--flows=2", "--flows", "20"});
+  Args args(a.argc(), a.argv());
+  EXPECT_EQ(args.u64("flows", 1), 2u);
+  EXPECT_EQ(args.u64("flows", 1), 2u);  // a second query adds no error
+  EXPECT_EQ(args.error(), "--flows: given more than once\n");
+  EXPECT_TRUE(args.positional().empty());
+}
+
 TEST(Args, BooleanFlagWithEqualsValueIsAnError) {
   Argv a({"--full=yes"});
   Args args(a.argc(), a.argv());

@@ -160,11 +160,33 @@ TEST(ScenarioEngine, FaultPlanFiresAndIsReported) {
 }
 
 TEST(ScenarioEngine, RejectsNumbersNoNetworkCanHave) {
-  // Each of these would hang the run, run it with no capacity, or turn a
-  // probability into "always"; the engine names the member instead.
+  // Each of these would hang the run, run it with no capacity, turn a
+  // probability into "always", or run a negative time or load as something
+  // else; the engine names the member instead.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   using Spec = runner::ScenarioSpec;
+  using runner::StopSpec;
+  using runner::TrafficKind;
+  const auto poisson = [](Spec& s, double load) {
+    s.traffic.kind = TrafficKind::kPoisson;
+    s.traffic.load = load;
+  };
+  const auto onoff = [](runner::TrafficSpec& t, double period, double duty) {
+    t.kind = TrafficKind::kOnOff;
+    t.on_period_sec = period;
+    t.on_duty = duty;
+  };
+  // A primary ExpressPass group beside a bent CUBIC cross-traffic group.
+  const auto grouped = [](Spec& s, std::function<void(runner::TrafficSpec&)>
+                                       bend_cross) {
+    runner::FlowGroupSpec xp;
+    xp.protocol = Protocol::kExpressPass;
+    runner::FlowGroupSpec cross;
+    cross.protocol = Protocol::kCubic;
+    bend_cross(cross.traffic);
+    s.flow_groups = {xp, cross};
+  };
   const std::vector<std::pair<std::string, std::function<void(Spec&)>>>
       cases = {
           {"topology.host_rate_bps",
@@ -185,6 +207,62 @@ TEST(ScenarioEngine, RejectsNumbersNoNetworkCanHave) {
            [](Spec& s) { s.faults.errors.credit_corrupt = -0.1; }},
           {"faults.errors.ge_drop_bad",
            [&](Spec& s) { s.faults.errors.ge_drop_bad = nan; }},
+          {"stop.horizon",
+           [](Spec& s) { s.stop = StopSpec::completion(Time::ms(-1)); }},
+          {"stop.warmup",
+           [](Spec& s) {
+             s.stop = StopSpec::measure_window(Time::ms(-1), Time::ms(1));
+           }},
+          {"stop.window",
+           [](Spec& s) {
+             s.stop = StopSpec::measure_window(Time::ms(1), Time::ms(-1));
+           }},
+          {"traffic.load", [&](Spec& s) { poisson(s, -0.5); }},
+          {"traffic.load", [&](Spec& s) { poisson(s, 0); }},
+          {"traffic.load", [&](Spec& s) { poisson(s, nan); }},
+          {"traffic.capacity_bps",
+           [&](Spec& s) {
+             poisson(s, 0.5);
+             s.traffic.capacity_bps = 0;
+           }},
+          {"traffic.capacity_bps",
+           [&](Spec& s) {
+             poisson(s, 0.5);
+             s.traffic.capacity_bps = inf;
+           }},
+          {"traffic.start_spread_sec",
+           [](Spec& s) { s.traffic.start_spread_sec = -1e-3; }},
+          {"traffic.start_spread_sec",
+           [&](Spec& s) { s.traffic.start_spread_sec = nan; }},
+          {"traffic.start_offset",
+           [](Spec& s) { s.traffic.start_offset = Time::us(-1); }},
+          {"traffic.start_step",
+           [](Spec& s) { s.traffic.start_step = Time::us(-1); }},
+          {"traffic.on_period_sec",
+           [&](Spec& s) { onoff(s.traffic, 0, 0.5); }},
+          {"traffic.on_duty", [&](Spec& s) { onoff(s.traffic, 5e-3, 1.5); }},
+          {"traffic.on_duty", [&](Spec& s) { onoff(s.traffic, 5e-3, 0); }},
+          {"flow_groups[1].traffic.on_duty",
+           [&](Spec& s) {
+             grouped(s, [&](runner::TrafficSpec& t) { onoff(t, 5e-3, 1.5); });
+           }},
+          {"flow_groups[1].traffic.start_step",
+           [&](Spec& s) {
+             grouped(s, [](runner::TrafficSpec& t) {
+               t.start_step = Time::us(-1);
+             });
+           }},
+          {"topology.link_jitter",
+           [](Spec& s) { s.topology.link_jitter = Time::us(-1); }},
+          {"faults.flap_down",
+           [](Spec& s) {
+             s.faults.flap_down = Time::ms(-1);
+             s.faults.flap_up = Time::ms(1);
+           }},
+          {"faults.flap_up",
+           [](Spec& s) { s.faults.flap_up = Time::ms(-1); }},
+          {"faults.kill_at",
+           [](Spec& s) { s.faults.kill_at = Time::ms(-1); }},
       };
   for (const auto& [member, bend] : cases) {
     auto s = small_dumbbell(Protocol::kExpressPass);

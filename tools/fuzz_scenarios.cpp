@@ -33,7 +33,8 @@ constexpr const char* kUsage =
     "  --seed S            campaign seed (default 1)\n"
     "  --count N           scenarios to generate (default 50)\n"
     "  --out DIR           write failing repro JSON files here\n"
-    "  --inject NAME       apply a hidden bug to every executed scenario\n"
+    "  --inject NAME       apply a hidden bug to every executed scenario,\n"
+    "                      generated where its oracle can catch it\n"
     "  --protocol NAME     restrict generation to one protocol\n"
     "  --max-flows N       generator flow-count ceiling (default 16)\n"
     "  --mixed             force mixed-protocol coexistence scenarios\n"

@@ -236,9 +236,7 @@ runner::ScenarioSpec make_spec(const Options& o, uint64_t seed) {
     s.traffic.start_spread_sec = 1e-3;
   }
 
-  if (o.link_jitter_us > 0) {
-    s.topology.link_jitter = Time::seconds(o.link_jitter_us * 1e-6);
-  }
+  s.topology.link_jitter = Time::seconds(o.link_jitter_us * 1e-6);
   if (!o.cross.empty()) {
     // Two groups on the shared fabric: the primary protocol keeps the
     // pairwise traffic configured above, the cross group rides beside it
